@@ -316,12 +316,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dimension"):
             sx.integrate(np.array([1.0, 2.0]), np.array([0.0, 0.0]), cfg, product)
 
-    def test_batch_matches_single(self, product):
+    @pytest.mark.parametrize("name, Q0, P0", [
+        ("product1d", [[-3.0], [-2.0]], [[0.0], [0.0]]),
+        ("schwarzschild", [[0.0, 20.0, 0.0], [0.0, 21.0, 0.0]], [[0.97, 0.0, -4.47], [0.97, 0.0, -4.47]]),
+        ("nls", [[3.0, 0.01], [2.9, 0.02]], [[1.0, 0.0], [1.0, 0.0]]),
+    ])
+    def test_batch_matches_single(self, name, Q0, P0):
+        model = sx.get_model(name)
         cfg = sx.IntegratorConfig(0.02, 15.0, 4, 50)
-        single = sx.integrate(np.array([-3.0]), np.array([0.0]), cfg, product)
+        single = sx.integrate(np.array(Q0[0]), np.array(P0[0]), cfg, model)
         batch = sx.integrate_batch(
-            np.array([[-3.0], [-2.0]]), np.zeros((2, 1)), 0.02,
-            np.array([15.0, 15.0]), 4, 50, product,
+            np.array(Q0), np.array(P0), 0.02, np.array([15.0, 15.0]), 4, 50, model,
         )
         np.testing.assert_array_equal(batch.states[:, 0], single.states)
 

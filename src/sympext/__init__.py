@@ -39,7 +39,6 @@ from .errors import (
 )
 from .integrator import (
     CompositionScheme,
-    ForceModel,
     IntegratorConfig,
     apply_scheme,
     build_scheme,
@@ -50,7 +49,6 @@ from .integrator import (
     integrate_batch,
     linear_drag,
     step,
-    step_dissipative,
     triple_jump_gamma,
 )
 from .models import (
@@ -68,18 +66,14 @@ from .models import (
     schwarzschild_initial,
 )
 from .oracles import (
-    EllipticParams,
     PhaseSeries,
     complete_elliptic_k,
-    elliptic_params,
     exact_series,
     exact_solution,
     half_period,
-    jacobi_cn,
     jacobi_elliptic,
-    reference_dissipative,
     reference_flow,
     rk4_step,
     rk4_trajectory,
 )
-from .state import ExtendedState, Trajectory, canonical_j, embed, project, state_from_array, validate_state
+from .state import ExtendedState, Trajectory, canonical_j, embed, project, state_from_array

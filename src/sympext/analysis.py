@@ -420,7 +420,7 @@ def poincare_section(
     active = counts < max_crossings
 
     for k in range(1, max_steps + 1):
-        q, p, x, y = _apply_plan(q, p, x, y, plan, model)
+        q, p, x, y = _apply_plan(q, p, x, y, plan, model.pair)
         g_new = x[:, comp] - surface.value
         if surface.direction > 0:
             crossed = (g_prev < 0.0) & (g_new >= 0.0)

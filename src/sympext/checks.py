@@ -253,8 +253,8 @@ def first_return_time(Q0: float = -3.0, step: float = 1e-4) -> float:
         Qn, Pn = oracles.rk4_step(model, Q, P, step)
         t += step
         if k > 0 and Qn[0] > 0 and float(P[0]) > 0 >= float(Pn[0]):
-            pdot0 = -float(model.grad_a(Q, P)[0])
-            pdot1 = -float(model.grad_a(Qn, Pn)[0])
+            pdot0 = -float(model.pair(Q, P)[0][0])
+            pdot1 = -float(model.pair(Qn, Pn)[0][0])
             theta = analysis._hermite_root(float(P[0]), float(Pn[0]), pdot0, pdot1, step, 1e-15)
             return t - step + theta * step
         Q, P = Qn, Pn

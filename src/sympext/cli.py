@@ -27,8 +27,8 @@ from .analysis import (
     scaled_running_max_errors,
     schwarzschild_scalings,
 )
-from .config import ExperimentConfig, apply_overrides, config_presets, dump_config, load_config
-from .errors import AdmissibilityError, ConfigError, SympextError, TrajectoryEscapedError
+from .config import ExperimentConfig, _parse_values, apply_overrides, config_presets, dump_config, load_config
+from .errors import AdmissibilityError, ConfigError, DomainError, SympextError
 from .integrator import linear_drag, integrate
 from .models import default_initial_condition, extended_energy, get_model, nls_masses
 from .state import Trajectory
@@ -66,6 +66,14 @@ def _initial_condition(cfg: ExperimentConfig):
     return default_initial_condition(cfg.system, cfg.n_modes, cfg.ic_preset)
 
 
+def _require_oracle_start(Q0, P0):
+    """The closed-form product solution is normalized to a start at Q0 < 0, P0 = 0."""
+    if not (Q0[0] < 0 and P0[0] == 0):
+        raise ConfigError(
+            f"the exact product oracle needs q0 < 0 and p0 = 0, got q0 = {_fmt(Q0[0])}, p0 = {_fmt(P0[0])}"
+        )
+
+
 def _run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     model = get_model(cfg.system, cfg.n_modes)
     Q0, P0 = _initial_condition(cfg)
@@ -83,9 +91,24 @@ def _run_trajectory(cfg: ExperimentConfig) -> Trajectory:
     )
 
 
+def _energy_columns(traj: Trajectory, model, omega):
+    """H and Hbar per sample; NaN at a sample outside the model's domain.
+
+    Only a run aborted by a DomainError keeps such a sample: a copy can
+    leave the domain at a stored sample before a later step is refused.
+    """
+    try:
+        return energy_series(model, *traj.projected()), extended_energy(model, omega, traj.states)
+    except DomainError:
+        if len(traj) == 1:
+            return np.array([np.nan]), np.array([np.nan])
+    rows = [_energy_columns(Trajectory(traj.times[i:i + 1], traj.states[i:i + 1], traj.projection), model, omega)
+            for i in range(len(traj))]
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
 def _trajectory_rows(traj: Trajectory, model, omega):
-    h = energy_series(model, *traj.projected())
-    hbar = extended_energy(model, omega, traj.states)
+    h, hbar = _energy_columns(traj, model, omega)
     q, p, x, y = traj.parts()
     for i, t in enumerate(traj.times):
         yield [t, *q[i], *p[i], *x[i], *y[i], h[i], hbar[i]]
@@ -106,8 +129,8 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     code = EXIT_OK
     try:
         traj = _run_trajectory(cfg)
-    except TrajectoryEscapedError as exc:
-        if exc.partial is None or len(exc.partial) == 0:
+    except SympextError as exc:
+        if exc.partial is None:
             raise
         traj = exc.partial
         notes.append(f"aborted: {exc}")
@@ -145,6 +168,7 @@ def cmd_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         raise ConfigError("table scans need the 1-dof product system (it has the exact oracle)")
     if bool(cfg.omegas) == bool(cfg.deltas):
         raise ConfigError("set exactly one scan list: omegas or deltas")
+    _require_oracle_start(*_initial_condition(cfg))
     key, values = ("omega", cfg.omegas) if cfg.omegas else ("delta", cfg.deltas)
     cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
     results = _map_ordered(_scan_point, [(cfg_dict, key, v) for v in values], workers)
@@ -300,14 +324,20 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     model = get_model(cfg.system, cfg.n_modes)
     Q0, P0 = _initial_condition(cfg)
     force = linear_drag(cfg.gamma) if cfg.gamma > 0 else None
+    n_steps = cfg.integrator_config().n_steps
+    exact = cfg.system == "product1d" and cfg.gamma == 0
+    if exact:
+        _require_oracle_start(Q0, P0)
+    elif n_steps % cfg.stride:
+        # The reference is sampled on a uniform grid; it must be the trajectory's own.
+        raise ConfigError(f"compare against the reference needs stride {cfg.stride} to divide n_steps {n_steps}")
     traj = _run_trajectory(cfg)
     Q, P = traj.projected()
-    n_steps = cfg.integrator_config().n_steps
     rk = oracles.rk4_trajectory(model, Q0, P0, cfg.delta, n_steps, stride=cfg.stride, force=force)
 
     base = cfg.out or "compare"
     verdict = [f"system = {cfg.system}", f"delta = {_fmt(cfg.delta)}", f"omega = {_fmt(cfg.omega)}"]
-    if cfg.system == "product1d" and cfg.gamma == 0:
+    if exact:
         qe, pe = oracles.exact_series(float(Q0[0]), traj.times)
         err_new = polar_errors(traj.times, Q[:, 0], P[:, 0], qe, pe)
         err_rk = polar_errors(traj.times, rk.Q[:, 0], rk.P[:, 0], qe, pe)
@@ -322,18 +352,13 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             f"max_phase_error_rk4 = {_fmt(err_rk.max_phase_error)}",
         ]
     else:
-        ref = (
-            oracles.reference_dissipative(model, force, Q0, P0, cfg.integrator_config().t_final)
-            if force is not None
-            else oracles.reference_flow(model, Q0, P0, cfg.integrator_config().t_final)
-        )
-        idx = np.searchsorted(traj.times, ref.times)
+        ref = oracles.reference_flow(model, Q0, P0, n_steps * cfg.delta, n_samples=len(traj.times) - 1, force=force)
         scal = np.concatenate([schwarzschild_scalings(), [1.0]]) if cfg.system == "schwarzschild" \
             else np.ones(model.dim + 1)
-        num = np.column_stack([Q[idx], energy_series(model, Q[idx], P[idx])])
+        num = np.column_stack([Q, energy_series(model, Q, P)])
         refm = np.column_stack([ref.Q, energy_series(model, ref.Q, ref.P)])
         curves_new = scaled_running_max_errors(num, refm, scal)
-        num_rk = np.column_stack([rk.Q[idx], energy_series(model, rk.Q[idx], rk.P[idx])])
+        num_rk = np.column_stack([rk.Q, energy_series(model, rk.Q, rk.P)])
         curves_rk = scaled_running_max_errors(num_rk, refm, scal)
         header = ["t"]
         header += [f"err_c{i}" for i in range(curves_new.shape[1])]
@@ -403,14 +428,9 @@ def _load(args) -> ExperimentConfig:
             raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(presets)}")
         cfg = presets[args.preset]
         if args.config is not None:
-            file_cfg = load_config(args.config)
-            defaults = ExperimentConfig()
-            overrides = {
-                f: getattr(file_cfg, f)
-                for f in file_cfg.__dataclass_fields__
-                if getattr(file_cfg, f) != getattr(defaults, f)
-            }
-            cfg = apply_overrides(cfg, overrides)
+            # Every key written in the file overrides the preset, including
+            # values that happen to equal the ExperimentConfig defaults.
+            cfg = apply_overrides(cfg, _parse_values(Path(args.config).read_text(encoding="utf-8")))
         return cfg.validate()
     if args.config is None:
         raise ConfigError("missing configuration: pass --config or --preset")

@@ -74,7 +74,6 @@ class ExperimentConfig:
     out: str = ""
     deltas: tuple = ()
     omegas: tuple = ()
-    seed: int = 0
     shell: float = 10.0
     grid_q: tuple = (-2.2, 2.2, 8)
     grid_p: tuple = (-2.8, 2.8, 8)
@@ -145,7 +144,6 @@ _PARSERS = {
     "out": str,
     "deltas": _parse_floats,
     "omegas": _parse_floats,
-    "seed": _parse_int,
     "shell": _parse_float,
     "grid_q": _parse_grid,
     "grid_p": _parse_grid,
@@ -154,8 +152,8 @@ _PARSERS = {
 }
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat ``key = value`` lines; '#' starts a comment; unknown keys are rejected."""
+def _parse_values(text: str) -> dict:
+    """The keys written in flat config text, with their parsed values."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -174,7 +172,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = _PARSERS[key](val)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from exc
-    return ExperimentConfig(**values).validate()
+    return values
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse flat ``key = value`` lines; '#' starts a comment; unknown keys are rejected."""
+    return ExperimentConfig(**_parse_values(text)).validate()
 
 
 def load_config(path) -> ExperimentConfig:

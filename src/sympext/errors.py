@@ -2,7 +2,15 @@
 
 
 class SympextError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error raised while a trajectory is advanced carries the samples
+    stored before it as ``partial`` (a Trajectory) and the index of the
+    last of them as ``last_valid_index``; both stay None otherwise.
+    """
+
+    partial = None
+    last_valid_index = None
 
 
 class DomainError(SympextError):
@@ -15,11 +23,6 @@ class EvaluationError(SympextError):
 
 class TrajectoryEscapedError(SympextError):
     """State norm exceeded the escape bound during integration."""
-
-    def __init__(self, message, last_valid_index=None, partial=None):
-        super().__init__(message)
-        self.last_valid_index = last_valid_index
-        self.partial = partial
 
 
 class ReferenceConvergenceError(SympextError):

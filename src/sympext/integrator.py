@@ -60,29 +60,13 @@ class CompositionScheme:
     stages: tuple[tuple[str, float], ...]
     variant: str = "standard"
 
-    def kind_totals(self) -> dict[str, float]:
-        totals = {"A": 0.0, "B": 0.0, "C": 0.0}
-        for kind, frac in self.stages:
-            totals[kind] += frac
-        return totals
-
-    def is_palindromic(self) -> bool:
-        return self.stages == self.stages[::-1]
-
     def __len__(self) -> int:
         return len(self.stages)
 
 
-@dataclass(frozen=True)
-class ForceModel:
-    """Additive term on the momentum equations, F(position, momentum, time)."""
-
-    external_force: Callable
-
-
-def linear_drag(gamma: float) -> ForceModel:
-    """The simplest dissipation, F = -gamma * momentum."""
-    return ForceModel(lambda pos, mom, t: -gamma * mom)
+def linear_drag(gamma: float) -> Callable:
+    """The simplest dissipation, F(position, momentum, t) = -gamma * momentum."""
+    return lambda pos, mom, t: -gamma * mom
 
 
 def triple_jump_gamma(order: int, variant: str = "standard") -> float:
@@ -129,47 +113,29 @@ def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
     return CompositionScheme(order=order, stages=tuple(stages), variant=variant)
 
 
-def _force_callable(force):
-    if force is None:
-        return None
-    if isinstance(force, ForceModel):
-        return force.external_force
-    return force
+def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force, t: float) -> ExtendedState:
+    """One exact flow, run as a one-stage plan; A and B refuse non-finite gradients."""
 
+    def checked_pair(a, b):
+        ga, gb = model.pair(a, b)
+        for name, g in (("grad_a", ga), ("grad_b", gb)):
+            if not np.all(np.isfinite(g)):
+                bad = int(np.argmin(np.isfinite(g)))
+                raise EvaluationError(f"flow_{kind.lower()}: non-finite gradient component {name}[{bad}]")
+        return ga, gb
 
-def _first_bad_component(g) -> int:
-    return int(np.argmin(np.isfinite(g)))
-
-
-def _require_finite_gradient(ga, gb, where: str):
-    if not np.all(np.isfinite(ga)):
-        raise EvaluationError(f"{where}: non-finite gradient component grad_a[{_first_bad_component(ga)}]")
-    if not np.all(np.isfinite(gb)):
-        raise EvaluationError(f"{where}: non-finite gradient component grad_b[{_first_bad_component(gb)}]")
+    plan = _stage_plan(CompositionScheme(0, ((kind, 1.0),)), delta, omega)
+    return ExtendedState(*_apply_plan(*s, plan, checked_pair, force, t))
 
 
 def flow_a(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
     """Exact flow of the first copy H(q, y): kicks p, drifts x, fixes q and y."""
-    ga, gb = model.pair(s.q, s.y)
-    _require_finite_gradient(ga, gb, "flow_a")
-    f = _force_callable(force)
-    if f is None:
-        p_new = s.p - delta * ga
-    else:
-        p_new = s.p + delta * (f(s.q, s.y, t) - ga)
-    return ExtendedState(s.q, p_new, s.x + delta * gb, s.y)
+    return _flow("A", s, delta, 0.0, model, force, t)
 
 
 def flow_b(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
     """Exact flow of the second copy H(x, p): drifts q, kicks y, fixes p and x."""
-    ga, gb = model.pair(s.x, s.p)
-    _require_finite_gradient(ga, gb, "flow_b")
-    f = _force_callable(force)
-    if f is None:
-        y_new = s.y - delta * ga
-    else:
-        y_new = s.y + delta * (f(s.x, s.p, t) - ga)
-    return ExtendedState(s.q + delta * gb, s.p, s.x, y_new)
+    return _flow("B", s, delta, 0.0, model, force, t)
 
 
 def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
@@ -179,19 +145,7 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
     (q - x, p - y) rotate by angle 2 * omega * delta; an exact linear
     symplectic map for any inputs.
     """
-    angle = 2.0 * omega * delta
-    if angle == 0.0:
-        return s
-    c = math.cos(angle)
-    sn = math.sin(angle)
-    q, p, x, y = s
-    dq = q - x
-    dp = p - y
-    sq = q + x
-    sp = p + y
-    rq = c * dq + sn * dp
-    rp = c * dp - sn * dq
-    return ExtendedState(0.5 * (sq + rq), 0.5 * (sp + rp), 0.5 * (sq - rq), 0.5 * (sp - rp))
+    return _flow("C", s, delta, omega, None, None, 0.0)
 
 
 def _stage_plan(scheme: CompositionScheme, delta: float, omega):
@@ -220,14 +174,14 @@ def _stage_plan(scheme: CompositionScheme, delta: float, omega):
     return plan
 
 
-def _apply_plan(q, p, x, y, plan, model, force=None, t0: float = 0.0, wrap_errors: bool = False):
+def _apply_plan(q, p, x, y, plan, pair, force=None, t0: float = 0.0, wrap_errors: bool = False):
     """Run the precomputed stage sequence once. Pure arithmetic, no checks.
 
+    ``pair`` is the model's gradient pair, ``HamiltonianModel.pair``.
     Dissipative forces replace only the momentum kicks of the A and B
     stages; each stage kind keeps its own elapsed-time clock, advancing by
     the stage substep, so F sees the time its flow has integrated to.
     """
-    pair = model.pair
     t_a = t_b = t0
     for index, (kind, h, c, sn) in enumerate(plan):
         try:
@@ -276,8 +230,7 @@ def apply_scheme(
 ) -> ExtendedState:
     """One composed update with a free-signed step (used by adjointness tests)."""
     plan = _stage_plan(scheme, delta, omega)
-    out = _apply_plan(*s, plan, model, _force_callable(force), t0, wrap_errors=True)
-    return ExtendedState(*out)
+    return ExtendedState(*_apply_plan(*s, plan, model.pair, force, t0, wrap_errors=True))
 
 
 def step(
@@ -286,28 +239,16 @@ def step(
     scheme: CompositionScheme,
     model: HamiltonianModel,
     t0: float = 0.0,
+    force=None,
 ) -> ExtendedState:
-    """One update of the composed integrator. Deterministic in its inputs."""
-    if scheme.order != cfg.order:
-        raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    return apply_scheme(s, scheme, cfg.delta, cfg.omega, model, t0=t0)
+    """One update of the composed integrator. Deterministic in its inputs.
 
-
-def step_dissipative(
-    s: ExtendedState,
-    cfg: IntegratorConfig,
-    scheme: CompositionScheme,
-    model: HamiltonianModel,
-    force: ForceModel,
-    t0: float = 0.0,
-) -> ExtendedState:
-    """One update with external forces in the momentum kicks.
-
-    With F identically zero this reduces bitwise to ``step``.
+    ``force`` adds F(position, momentum, time) to the momentum kicks; with
+    F identically zero the step is bitwise the unforced one.
     """
     if scheme.order != cfg.order:
         raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    return apply_scheme(s, scheme, cfg.delta, cfg.omega, model, force=force, t0=t0)
+    return apply_scheme(s, scheme, cfg.delta, cfg.omega, model, force, t0)
 
 
 def _sample_indices(n_steps: int, stride: int) -> list[int]:
@@ -319,7 +260,7 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
     return idx
 
 
-def _check_sample(q, p, x, y, escape_bound, step_index, times, out, n_stored):
+def _check_sample(q, p, x, y, escape_bound, step_index):
     biggest = 0.0
     for c in (q, p, x, y):
         if not np.all(np.isfinite(c)):
@@ -327,13 +268,51 @@ def _check_sample(q, p, x, y, escape_bound, step_index, times, out, n_stored):
             break
         biggest = max(biggest, float(np.max(np.abs(c))))
     if biggest > escape_bound:
-        partial = Trajectory(times[:n_stored].copy(), out[:n_stored].copy())
         raise TrajectoryEscapedError(
             f"trajectory escaped: max |state| = {biggest:.3e} exceeds bound {escape_bound:.3e} "
-            f"at step {step_index}",
-            last_valid_index=n_stored - 1,
-            partial=partial,
+            f"at step {step_index}"
         )
+
+
+def _drive(s0, plan, model, force, delta, n_steps, stride, escape_bound, t0=0.0, observers=(), projection="copy1"):
+    """The trajectory loop behind ``integrate`` and ``integrate_batch``.
+
+    Advances ``s0`` by ``n_steps`` runs of the stage plan, stores every
+    ``stride``-th state (the final state always included), checks each
+    stored sample against the escape bound and calls each observer as
+    observer(t, state) there. Any SympextError raised on the way leaves
+    with the samples stored so far attached as ``partial``.
+    """
+    if s0.dim != model.dim:
+        raise ValueError(f"initial condition dimension {s0.dim} does not match model dim {model.dim}")
+    sample_at = _sample_indices(n_steps, stride)
+    times = t0 + delta * np.asarray(sample_at, dtype=float)
+    out = np.empty((len(sample_at),) + s0.q.shape[:-1] + (4, s0.dim))
+
+    pair = model.pair
+    q, p, x, y = s0
+    out[0, ..., 0, :], out[0, ..., 1, :], out[0, ..., 2, :], out[0, ..., 3, :] = q, p, x, y
+    n_stored = 1
+    try:
+        _check_sample(q, p, x, y, escape_bound, 0)
+        for obs in observers:
+            obs(times[0], ExtendedState(q, p, x, y))
+        for k in range(1, n_steps + 1):
+            q, p, x, y = _apply_plan(q, p, x, y, plan, pair, force, t0 + (k - 1) * delta)
+            if n_stored < len(sample_at) and k == sample_at[n_stored]:
+                out[n_stored, ..., 0, :] = q
+                out[n_stored, ..., 1, :] = p
+                out[n_stored, ..., 2, :] = x
+                out[n_stored, ..., 3, :] = y
+                n_stored += 1
+                _check_sample(q, p, x, y, escape_bound, k)
+                for obs in observers:
+                    obs(times[n_stored - 1], ExtendedState(q, p, x, y))
+    except SympextError as exc:
+        exc.partial = Trajectory(times[:n_stored].copy(), out[:n_stored].copy(), projection)
+        exc.last_valid_index = n_stored - 1
+        raise
+    return Trajectory(times, out, projection)
 
 
 def integrate(
@@ -355,42 +334,17 @@ def integrate(
 
     Samples every ``stride``-th state (the final state always included) and
     calls each observer as observer(t, state) at the sample points. Aborts
-    with TrajectoryEscapedError, carrying the partial trajectory, if the
-    state leaves the escape bound or turns non-finite.
+    with TrajectoryEscapedError if a sample leaves the escape bound or
+    turns non-finite; this and any other SympextError raised mid-run
+    carries the partial trajectory.
     """
     if scheme is None:
         scheme = build_scheme(cfg.order, variant)
     elif scheme.order != cfg.order:
         raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    s0 = embed(Q0, P0)
-    if s0.dim != model.dim:
-        raise ValueError(f"initial condition dimension {s0.dim} does not match model dim {model.dim}")
-
     plan = _stage_plan(scheme, cfg.delta, cfg.omega)
-    f = _force_callable(force)
-    sample_at = _sample_indices(cfg.n_steps, stride)
-    times = t0 + cfg.delta * np.asarray(sample_at, dtype=float)
-    out = np.empty((len(sample_at),) + s0.q.shape[:-1] + (4, s0.dim))
-
-    q, p, x, y = s0
-    out[0, ..., 0, :], out[0, ..., 1, :], out[0, ..., 2, :], out[0, ..., 3, :] = q, p, x, y
-    _check_sample(q, p, x, y, escape_bound, 0, times, out, 1)
-    for obs in observers:
-        obs(times[0], ExtendedState(q, p, x, y))
-
-    next_sample = 1
-    for k in range(1, cfg.n_steps + 1):
-        q, p, x, y = _apply_plan(q, p, x, y, plan, model, f, t0 + (k - 1) * cfg.delta)
-        if next_sample < len(sample_at) and k == sample_at[next_sample]:
-            out[next_sample, ..., 0, :] = q
-            out[next_sample, ..., 1, :] = p
-            out[next_sample, ..., 2, :] = x
-            out[next_sample, ..., 3, :] = y
-            _check_sample(q, p, x, y, escape_bound, k, times, out, next_sample + 1)
-            for obs in observers:
-                obs(times[next_sample], ExtendedState(q, p, x, y))
-            next_sample += 1
-    return Trajectory(times, out, projection)
+    return _drive(embed(Q0, P0), plan, model, force, cfg.delta, cfg.n_steps, stride, escape_bound,
+                  t0, observers, projection)
 
 
 def integrate_batch(
@@ -411,27 +365,8 @@ def integrate_batch(
 
     Q0 and P0 have shape (B, d); ``omega`` may be a scalar or a (B,) array
     giving one binding strength per lane. Returns a Trajectory whose states
-    have shape (n_samples, B, 4, d).
+    have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
-    Q0 = np.atleast_2d(np.asarray(Q0, dtype=float))
-    P0 = np.atleast_2d(np.asarray(P0, dtype=float))
-    scheme = build_scheme(order, variant)
-    plan = _stage_plan(scheme, delta, omega)
-    f = _force_callable(force)
-    sample_at = _sample_indices(n_steps, stride)
-    times = delta * np.asarray(sample_at, dtype=float)
-    out = np.empty((len(sample_at), Q0.shape[0], 4, Q0.shape[1]))
-
-    q, p, x, y = Q0.copy(), P0.copy(), Q0.copy(), P0.copy()
-    out[0, :, 0], out[0, :, 1], out[0, :, 2], out[0, :, 3] = q, p, x, y
-    next_sample = 1
-    for k in range(1, n_steps + 1):
-        q, p, x, y = _apply_plan(q, p, x, y, plan, model, f, (k - 1) * delta)
-        if next_sample < len(sample_at) and k == sample_at[next_sample]:
-            out[next_sample, :, 0] = q
-            out[next_sample, :, 1] = p
-            out[next_sample, :, 2] = x
-            out[next_sample, :, 3] = y
-            _check_sample(q, p, x, y, escape_bound, k, times, out, next_sample + 1)
-            next_sample += 1
-    return Trajectory(times, out)
+    plan = _stage_plan(build_scheme(order, variant), delta, omega)
+    return _drive(embed(np.atleast_2d(Q0), np.atleast_2d(P0)), plan, model, force, delta, n_steps, stride,
+                  escape_bound)

@@ -25,13 +25,17 @@ _HORIZON_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Evaluation interface for one Hamiltonian H(a, b) with closed-form gradients."""
+    """Evaluation interface for one Hamiltonian H(a, b) with closed-form gradients.
+
+    Give either ``grad_pair``, returning both gradient blocks at once, or
+    the two blocks ``grad_a`` and ``grad_b`` separately.
+    """
 
     name: str
     dim: int
     value: Callable[[Array, Array], Array]
-    grad_a: Callable[[Array, Array], Array]
-    grad_b: Callable[[Array, Array], Array]
+    grad_a: Callable[[Array, Array], Array] | None = None
+    grad_b: Callable[[Array, Array], Array] | None = None
     grad_pair: Callable[[Array, Array], tuple[Array, Array]] | None = None
 
     def pair(self, a, b):
@@ -51,16 +55,10 @@ def product_hamiltonian() -> HamiltonianModel:
     def value(a, b):
         return 0.5 * (a[..., 0] ** 2 + 1.0) * (b[..., 0] ** 2 + 1.0)
 
-    def grad_a(a, b):
-        return a * (b * b + 1.0)
-
-    def grad_b(a, b):
-        return b * (a * a + 1.0)
-
     def grad_pair(a, b):
         return a * (b * b + 1.0), b * (a * a + 1.0)
 
-    return HamiltonianModel("product1d", 1, value, grad_a, grad_b, grad_pair)
+    return HamiltonianModel("product1d", 1, value, grad_pair=grad_pair)
 
 
 def schwarzschild_hamiltonian() -> HamiltonianModel:
@@ -99,13 +97,7 @@ def schwarzschild_hamiltonian() -> HamiltonianModel:
         gb[..., 2] = -pphi / r**2
         return ga, gb
 
-    def grad_a(a, b):
-        return grad_pair(a, b)[0]
-
-    def grad_b(a, b):
-        return grad_pair(a, b)[1]
-
-    return HamiltonianModel("schwarzschild", 3, value, grad_a, grad_b, grad_pair)
+    return HamiltonianModel("schwarzschild", 3, value, grad_pair=grad_pair)
 
 
 def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
@@ -149,13 +141,7 @@ def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
         gp[..., 1:] -= 2.0 * pn * (pm * pm - qm * qm) + 4.0 * pm * qmqn
         return gq, gp
 
-    def grad_a(q, p):
-        return grad_pair(q, p)[0]
-
-    def grad_b(q, p):
-        return grad_pair(q, p)[1]
-
-    return HamiltonianModel("nls", n_modes, value, grad_a, grad_b, grad_pair)
+    return HamiltonianModel("nls", n_modes, value, grad_pair=grad_pair)
 
 
 @dataclass(frozen=True)
@@ -212,21 +198,10 @@ def extended_model(model: HamiltonianModel, omega: float) -> HamiltonianModel:
 
     def grad_pair(a, b):
         q, x, p, y = _split(a, b)
-        gaq, gby = model.pair(q, y)
-        gax, gbp = model.pair(x, p)
-        dq = q - x
-        dp = p - y
-        ga = np.concatenate([gaq + omega * dq, gax - omega * dq], axis=-1)
-        gb = np.concatenate([gbp + omega * dp, gby - omega * dp], axis=-1)
-        return ga, gb
+        dq, dp, dx, dy = extended_vector_field(model, omega, q, p, x, y)
+        return np.concatenate([-dp, -dy], axis=-1), np.concatenate([dq, dx], axis=-1)
 
-    def grad_a(a, b):
-        return grad_pair(a, b)[0]
-
-    def grad_b(a, b):
-        return grad_pair(a, b)[1]
-
-    return HamiltonianModel(f"{model.name}+binding", 2 * d, value, grad_a, grad_b, grad_pair)
+    return HamiltonianModel(f"{model.name}+binding", 2 * d, value, grad_pair=grad_pair)
 
 
 def extended_vector_field(model: HamiltonianModel, omega: float, q, p, x, y):

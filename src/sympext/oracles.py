@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
+from .integrator import _sample_indices
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -84,31 +85,6 @@ def jacobi_elliptic(u, m: float):
     return sn, cn, dn
 
 
-def jacobi_cn(u, m: float):
-    """Elliptic cosine cn(u | m)."""
-    return jacobi_elliptic(u, m)[1]
-
-
-@dataclass(frozen=True)
-class EllipticParams:
-    """Closed-form solution parameters of the product oscillator.
-
-    q0 is the initial position on the P = 0 axis (q0 < 0), m the elliptic
-    parameter q0^2 / (1 + q0^2), and half_period the time to reach -q0.
-    """
-
-    q0: float
-    m: float
-    half_period: float
-
-
-def elliptic_params(Q0: float) -> EllipticParams:
-    if Q0 == 0:
-        raise ValueError("Q0 = 0 sits at the fixed point; the oscillation phase is undefined")
-    m = Q0 * Q0 / (1.0 + Q0 * Q0)
-    return EllipticParams(q0=float(Q0), m=m, half_period=half_period(Q0))
-
-
 def half_period(Q0: float) -> float:
     """Half period of the product oscillator started at (Q0, 0).
 
@@ -126,20 +102,22 @@ def exact_solution(Q0: float, t):
     """Exact (Q, P) of the product oscillator started at (Q0 < 0, P = 0).
 
     Time is reduced modulo the full period; the first half period follows
-    the elliptic-cosine formula and the second half is its image under the
-    origin symmetry (Q, P) -> (-Q, -P). The momentum is recovered
-    analytically from the cn derivative, P = Q' / (1 + Q^2).
+    the elliptic-cosine formula with parameter m = Q0^2 / (1 + Q0^2), and
+    the second half is its image under the origin symmetry
+    (Q, P) -> (-Q, -P). The momentum is recovered analytically from the cn
+    derivative, P = Q' / (1 + Q^2).
     """
     if Q0 >= 0:
         raise ValueError(f"exact solution is normalized to Q0 < 0 on the P = 0 axis, got Q0 = {Q0}")
-    params = elliptic_params(Q0)
+    m = Q0 * Q0 / (1.0 + Q0 * Q0)
+    half = half_period(Q0)
     rate = math.sqrt(1.0 + Q0 * Q0)
     scalar = np.isscalar(t)
     t = np.asarray(t, dtype=float)
-    tm = np.mod(t, 2.0 * params.half_period)
-    second = tm >= params.half_period
-    tt = np.where(second, tm - params.half_period, tm)
-    sn, cn, dn = jacobi_elliptic(tt * rate, params.m)
+    tm = np.mod(t, 2.0 * half)
+    second = tm >= half
+    tt = np.where(second, tm - half, tm)
+    sn, cn, dn = jacobi_elliptic(tt * rate, m)
     Q = Q0 * cn
     Qdot = -Q0 * rate * sn * dn
     P = Qdot / (1.0 + Q * Q)
@@ -203,12 +181,9 @@ def rk4_trajectory(
     force=None,
 ) -> PhaseSeries:
     """Fixed-step RK4 run sampled every ``stride`` steps (final step included)."""
-    force = getattr(force, "external_force", force)
     Q = np.atleast_1d(np.asarray(Q0, dtype=float)).copy()
     P = np.atleast_1d(np.asarray(P0, dtype=float)).copy()
-    sample_at = list(range(0, n_steps + 1, stride))
-    if sample_at[-1] != n_steps:
-        sample_at.append(n_steps)
+    sample_at = _sample_indices(n_steps, stride)
     times = delta * np.asarray(sample_at, dtype=float)
     Qs = np.empty((len(sample_at),) + Q.shape)
     Ps = np.empty_like(Qs)
@@ -259,10 +234,11 @@ def reference_flow(
     the endpoint by at most ``rtol`` relative; the achieved shift and the
     certified substep count are recorded in ``meta`` (the step-doubling
     certificate). Raises ReferenceConvergenceError if certification fails.
+    A ``force`` F(Q, P, t) turns the field into dP/dt = -grad_a H + F; a
+    linear drag passes F = -gamma * P.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
-    force = getattr(force, "external_force", force)
     Q0 = np.atleast_1d(np.asarray(Q0, dtype=float))
     P0 = np.atleast_1d(np.asarray(P0, dtype=float))
     if T == 0:
@@ -292,19 +268,3 @@ def reference_flow(
         f"reference did not converge: endpoint still moving by {shift:.3e} (> rtol {rtol:.1e}) "
         f"after {substeps} substeps per sample"
     )
-
-
-def reference_dissipative(
-    model: HamiltonianModel,
-    force,
-    Q0,
-    P0,
-    T: float,
-    **kwargs,
-) -> PhaseSeries:
-    """Benchmark for the forced field dP/dt = -grad_a H + F(Q, P, t).
-
-    The conservative sign convention is kept; a linear drag passes
-    F = -gamma * P.
-    """
-    return reference_flow(model, Q0, P0, T, force=force, **kwargs)

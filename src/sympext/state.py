@@ -6,8 +6,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError
-
 PROJECTIONS = ("copy1", "mean", "copy2")
 
 
@@ -48,19 +46,6 @@ def embed(Q0, P0) -> ExtendedState:
     if Q0.shape != P0.shape:
         raise ValueError(f"position/momentum shapes differ: {Q0.shape} vs {P0.shape}")
     return ExtendedState(Q0.copy(), P0.copy(), Q0.copy(), P0.copy())
-
-
-def validate_state(s: ExtendedState) -> ExtendedState:
-    """Check the shared-shape and finiteness invariants."""
-    shapes = {np.shape(c) for c in s}
-    if len(shapes) != 1:
-        raise ValueError(f"state components have mismatched shapes: {[np.shape(c) for c in s]}")
-    if s.q.ndim < 1 or s.dim < 1:
-        raise ValueError("state components must be arrays with at least one coordinate")
-    for name, c in zip("qpxy", s):
-        if not np.all(np.isfinite(c)):
-            raise EvaluationError(f"non-finite entry in state component {name}")
-    return s
 
 
 def project(state_or_array, policy: str = "copy1"):

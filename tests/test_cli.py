@@ -109,6 +109,26 @@ class TestIntegrateCommand:
         meta = (tmp_path / "trajectory.meta").read_text()
         assert "aborted" in meta
 
+    def test_domain_abort_keeps_partial_trajectory(self, tmp_path):
+        # The orbit falls through the horizon mid-run: the samples before
+        # the failing step are still written.
+        cfg = write_config(
+            tmp_path,
+            "system = schwarzschild\nq0 = 0,2.6,0\np0 = 0.9,-1.5,-3\ndelta = 0.05\n"
+            "omega = 2\nt_final = 20\n",
+        )
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert rows[0] == "t,q0,q1,q2,p0,p1,p2,x0,x1,x2,y0,y1,y2,H,Hbar"
+        data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert 1 < len(data) < 401
+        assert np.all(data[:, 2] > 2.0)
+        # H and Hbar are NaN only where a copy has already crossed r = 2.
+        outside = np.minimum(data[:, 2], data[:, 8]) <= 2.0
+        assert outside[-1] and np.array_equal(np.isnan(data[:, -1]), outside)
+        meta = (tmp_path / "trajectory.meta").read_text()
+        assert "aborted" in meta and "horizon" in meta
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["integrate", "--out", str(tmp_path)]) == 2
 
@@ -236,6 +256,28 @@ class TestPresets:
         ])
         assert code == 0
 
+    def test_override_equal_to_default_applies(self, tmp_path):
+        # omega = 20 is the ExperimentConfig default; it still overrides
+        # the preset's omega = 0.
+        text = "omega = 20\ngrid_q = -0.2:0.2:2\ngrid_p = -0.2:0.2:2\nmax_crossings = 3\n"
+        code = main([
+            "poincare", "--preset", "poincare_none", "--out", str(tmp_path),
+            "--config", write_config(tmp_path, text),
+        ])
+        assert code == 0
+        meta = parse_config_text((tmp_path / "section.meta").read_text())
+        assert meta.omega == 20.0
+        assert meta.max_crossings == 3
+
+    def test_stride_one_overrides_preset_stride(self, tmp_path):
+        code = main([
+            "integrate", "--preset", "schwarzschild_long", "--out", str(tmp_path),
+            "--config", write_config(tmp_path, "stride = 1\nt_final = 20\n"),
+        ])
+        assert code == 0
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 101
+        assert parse_config_text((tmp_path / "trajectory.meta").read_text()).stride == 1
+
     def test_unknown_preset(self, tmp_path):
         assert main(["integrate", "--preset", "nope", "--out", str(tmp_path)]) == 2
 
@@ -266,6 +308,40 @@ class TestCompareSchwarzschild:
     def test_mode_system_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "system = nls\nt_final = 1\n")
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_reference_on_trajectory_grid(self, tmp_path):
+        # 33 steps of 0.03: every error row sits at a sample of the run.
+        cfg = write_config(
+            tmp_path,
+            "system = schwarzschild\ndelta = 0.03\nomega = 2\nt_final = 1\norder = 4\ngamma = 0.01\n",
+        )
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+        times = np.array([float(row.split(",")[0]) for row in rows])
+        np.testing.assert_allclose(times, 0.03 * np.arange(34), rtol=0, atol=1e-12)
+
+    def test_stride_must_divide_steps(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "system = schwarzschild\ndelta = 0.2\nomega = 2\nt_final = 10\norder = 4\nstride = 3\n",
+        )
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "compare.csv").exists()
+
+
+class TestProductOracleStart:
+    @pytest.mark.parametrize("command", ["compare", "table"])
+    @pytest.mark.parametrize("q0, p0", [("-3", "0.5"), ("3", "0")])
+    def test_unserved_start_rejected(self, tmp_path, command, q0, p0):
+        # The closed-form orbit starts on the P = 0 axis at Q0 < 0; any
+        # other start would be compared against a different orbit.
+        cfg = write_config(
+            tmp_path,
+            f"system = product1d\nq0 = {q0}\np0 = {p0}\ndelta = 0.02\nomega = 20\n"
+            "t_final = 1\ndeltas = 0.02,0.01\n",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / f"{command}.csv").exists()
 
 
 class TestPoincareWorkers:

@@ -32,15 +32,15 @@ def cn_by_integral_inversion(u, m):
 class TestJacobiElliptic:
     def test_cn_at_zero(self):
         for m in (0.0, 0.3, 0.9, 0.999):
-            assert sx.jacobi_cn(0.0, m) == pytest.approx(1.0, abs=1e-15)
+            assert sx.jacobi_elliptic(0.0, m)[1] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("u", [0.3, 1.0, 2.5])
     def test_degenerate_parameter_is_cosine(self, u):
-        assert sx.jacobi_cn(u, 0.0) == pytest.approx(math.cos(u), abs=1e-13)
+        assert sx.jacobi_elliptic(u, 0.0)[1] == pytest.approx(math.cos(u), abs=1e-13)
 
     def test_against_integral_inversion(self):
         for u, m in ((1.0, 0.9), (0.5, 0.5), (2.0, 0.25), (3.1, 0.75)):
-            assert sx.jacobi_cn(u, m) == pytest.approx(cn_by_integral_inversion(u, m), abs=1e-12)
+            assert sx.jacobi_elliptic(u, m)[1] == pytest.approx(cn_by_integral_inversion(u, m), abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(u=st.floats(-10.0, 10.0), m=st.floats(0.0, 0.999))
@@ -82,9 +82,11 @@ class TestHalfPeriod:
             sx.half_period(0.0)
 
     def test_elliptic_params(self):
-        params = sx.elliptic_params(-3.0)
-        assert params.m == pytest.approx(0.9, abs=1e-15)
-        assert params.half_period == pytest.approx(sx.half_period(-3.0), abs=0)
+        # Within the first half period the solution is Q0 cn(t sqrt(1 + Q0^2) | m)
+        # with m = Q0^2 / (1 + Q0^2) = 0.9 at Q0 = -3.
+        t = np.linspace(0.0, 0.99 * sx.half_period(-3.0), 50)
+        Q, _ = sx.exact_solution(-3.0, t)
+        np.testing.assert_array_equal(Q, -3.0 * sx.jacobi_elliptic(t * math.sqrt(10.0), 0.9)[1])
 
 
 class TestExactSolution:
@@ -201,8 +203,8 @@ class TestReferenceDissipative:
     def test_zero_drag_matches_conservative(self):
         m = sx.product_hamiltonian()
         a = sx.reference_flow(m, np.array([-2.0]), np.array([0.0]), 3.0, n_samples=12)
-        b = sx.reference_dissipative(
-            m, sx.linear_drag(0.0), np.array([-2.0]), np.array([0.0]), 3.0, n_samples=12
+        b = sx.reference_flow(
+            m, np.array([-2.0]), np.array([0.0]), 3.0, n_samples=12, force=sx.linear_drag(0.0)
         )
         np.testing.assert_array_equal(a.Q, b.Q)
         np.testing.assert_array_equal(a.P, b.P)
@@ -216,8 +218,8 @@ class TestReferenceDissipative:
         )
         gamma, T = 0.3, 8.0
         q0, p0 = 1.2, -0.4
-        ref = sx.reference_dissipative(
-            m, sx.linear_drag(gamma), np.array([q0]), np.array([p0]), T, n_samples=40
+        ref = sx.reference_flow(
+            m, np.array([q0]), np.array([p0]), T, n_samples=40, force=sx.linear_drag(gamma)
         )
         wd = math.sqrt(1.0 - gamma**2 / 4.0)
         t = ref.times
@@ -239,8 +241,8 @@ class TestReferenceDissipative:
             grad_a=lambda a, b: a,
             grad_b=lambda a, b: b,
         )
-        ref = sx.reference_dissipative(
-            m, sx.linear_drag(0.2), np.array([1.0]), np.array([0.0]), 20.0, n_samples=30
+        ref = sx.reference_flow(
+            m, np.array([1.0]), np.array([0.0]), 20.0, n_samples=30, force=sx.linear_drag(0.2)
         )
         H = sx.energy_series(m, ref.Q, ref.P)
         assert H[-1] < 0.05 * H[0]

@@ -253,9 +253,6 @@ class PoincareSection:
     skipped: tuple
     dropped_crossings: int
 
-    def points_of(self, traj_id: int) -> np.ndarray:
-        return self.points[self.trajectory_id == traj_id]
-
     def embedded_points_of(self, traj_id: int) -> np.ndarray:
         """(q, p, y) triples of one trajectory on the section manifold."""
         mask = self.trajectory_id == traj_id

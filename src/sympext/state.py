@@ -109,9 +109,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[-1]
 
-    def state(self, i: int) -> ExtendedState:
-        return state_from_array(self.states[i])
-
     def parts(self) -> ExtendedState:
         """Component series (q, p, x, y), each of shape (n, ..., d)."""
         return state_from_array(self.states)
@@ -119,8 +116,3 @@ class Trajectory:
     def projected(self, policy: str | None = None):
         """Reported (Q, P) series under the trajectory's (or given) policy."""
         return project(self.states, policy or self.projection)
-
-    def copy_distance(self) -> np.ndarray:
-        """Euclidean distance between the position copies, per sample."""
-        q, _, x, _ = self.parts()
-        return np.sqrt(np.sum((q - x) ** 2, axis=-1))

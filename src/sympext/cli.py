@@ -92,23 +92,26 @@ def _run_trajectory(cfg: ExperimentConfig) -> Trajectory:
 
 
 def _energy_columns(traj: Trajectory, model, omega):
-    """H and Hbar per sample; NaN at a sample outside the model's domain.
+    """H and Hbar per sample, NaN at each sample outside the model's domain.
 
-    Only a run aborted by a DomainError keeps such a sample: a copy can
-    leave the domain at a stored sample before a later step is refused.
+    A copy can cross the domain boundary at a stored sample before any step
+    is refused, so the reasons for the NaN samples are returned as well.
     """
     try:
-        return energy_series(model, *traj.projected()), extended_energy(model, omega, traj.states)
+        return energy_series(model, *traj.projected()), extended_energy(model, omega, traj.states), []
     except DomainError:
-        if len(traj) == 1:
-            return np.array([np.nan]), np.array([np.nan])
-    rows = [_energy_columns(Trajectory(traj.times[i:i + 1], traj.states[i:i + 1], traj.projection), model, omega)
-            for i in range(len(traj))]
-    return tuple(np.concatenate(column) for column in zip(*rows))
+        pass
+    Q, P = traj.projected()
+    h, hbar, outside = np.full(len(traj), np.nan), np.full(len(traj), np.nan), []
+    for i, t in enumerate(traj.times):
+        try:
+            h[i], hbar[i] = energy_series(model, Q[i], P[i]), extended_energy(model, omega, traj.states[i])
+        except DomainError as exc:
+            outside.append(f"outside the domain at t = {_fmt(t)}: {exc}")
+    return h, hbar, outside
 
 
-def _trajectory_rows(traj: Trajectory, model, omega):
-    h, hbar = _energy_columns(traj, model, omega)
+def _trajectory_rows(traj: Trajectory, h, hbar):
     q, p, x, y = traj.parts()
     for i, t in enumerate(traj.times):
         yield [t, *q[i], *p[i], *x[i], *y[i], h[i], hbar[i]]
@@ -135,7 +138,11 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         traj = exc.partial
         notes.append(f"aborted: {exc}")
         code = EXIT_NUMERIC
-    _write_csv(out_dir / f"{base}.csv", _trajectory_header(model.dim), _trajectory_rows(traj, model, cfg.omega))
+    h, hbar, outside = _energy_columns(traj, model, cfg.omega)
+    if outside:
+        notes.extend(outside)
+        code = EXIT_NUMERIC
+    _write_csv(out_dir / f"{base}.csv", _trajectory_header(model.dim), _trajectory_rows(traj, h, hbar))
     _write_meta(out_dir / f"{base}.meta", cfg, notes)
     return code
 

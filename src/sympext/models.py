@@ -128,22 +128,6 @@ def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
         return quart - np.sum(coup, axis=-1)
 
     def grad_pair(q, p):
-        if q.ndim == 1:
-            # One lane: the same stencil on Python floats, about ten times
-            # cheaper than numpy calls on a few modes. The right neighbour
-            # comes first, as below, so the bits equal a batch row's.
-            qs, ps = q.tolist(), p.tolist()
-            q2, p2 = [a * a for a in qs], [b * b for b in ps]
-            rows = []
-            for i, (qi, pi) in enumerate(zip(qs, ps)):
-                gqi, gpi = (q2[i] + p2[i]) * qi, (q2[i] + p2[i]) * pi
-                for j in (i + 1, i - 1):
-                    if 0 <= j < n_modes:
-                        gqi -= 2.0 * qi * (q2[j] - p2[j]) + 4.0 * (pi * ps[j]) * qs[j]
-                        gpi -= 2.0 * pi * (p2[j] - q2[j]) + 4.0 * ps[j] * (qi * qs[j])
-                rows.append((gqi, gpi))
-            gq, gp = zip(*rows)
-            return np.array(gq), np.array(gp)
         r2 = q * q + p * p
         gq = r2 * q
         gp = r2 * p

@@ -129,6 +129,23 @@ class TestIntegrateCommand:
         meta = (tmp_path / "trajectory.meta").read_text()
         assert "aborted" in meta and "horizon" in meta
 
+    def test_last_sample_inside_horizon_is_numeric_abort(self, tmp_path):
+        # The same orbit, stopped at the first sample whose second copy is
+        # already inside r = 2: no step is refused, but its energies are
+        # undefined, so the run still ends with the numeric-abort code.
+        cfg = write_config(
+            tmp_path,
+            "system = schwarzschild\nq0 = 0,2.6,0\np0 = 0.9,-1.5,-3\ndelta = 0.05\n"
+            "omega = 2\nt_final = 3.45\n",
+        )
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        data = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+        assert len(data) == 70 and data[-1, 8] < 2.0
+        assert np.array_equal(np.isnan(data[:, -1]), np.arange(70) == 69)
+        meta = (tmp_path / "trajectory.meta").read_text()
+        assert "aborted" not in meta and "outside the domain at t = 3.45" in meta and "horizon" in meta
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["integrate", "--out", str(tmp_path)]) == 2
 

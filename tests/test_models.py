@@ -163,21 +163,6 @@ class TestNls:
                 n_points=60,
             )
 
-    def test_single_lane_gradients_equal_batch_rows(self):
-        # A 1-D state takes the per-mode float path; a batch row must give
-        # the same bits, signed zeros included.
-        rng = np.random.default_rng(17)
-        for n in (2, 3, 5, 8):
-            m = sx.nls_hamiltonian(n)
-            Q = rng.uniform(-3, 3, (40, n)) * 10.0 ** rng.integers(-3, 3, (40, 1))
-            P = rng.uniform(-3, 3, (40, n))
-            P[::4, 0] = 0.0
-            Q[1::4] = -0.0
-            ga, gb = m.pair(Q, P)
-            for i in range(len(Q)):
-                la, lb = m.pair(Q[i], P[i])
-                assert la.tobytes() == ga[i].tobytes() and lb.tobytes() == gb[i].tobytes()
-
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):
             sx.nls_hamiltonian(1)

@@ -1,7 +1,8 @@
 """Golden digests: short runs of every driver, pinned bit for bit.
 
 Each case hashes the raw bytes of what a public entry point returns
-(sample times and packed states, or the section arrays). A refactor that
+(sample times and packed states, RK4 series, vector-field values, or the
+section arrays). A refactor that
 keeps the arithmetic order keeps every digest; any change in the last bit
 of any sample changes one.
 
@@ -27,6 +28,7 @@ MODELS = {
     "product1d": (sx.product_hamiltonian, [-3.0], [0.0], 0.05, 20.0),
     "schwarzschild": (sx.schwarzschild_hamiltonian, *sx.schwarzschild_initial("constraint"), 0.2, 2.0),
     "nls2": (lambda: sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], 0.01, 100.0),
+    "nls5": (lambda: sx.nls_hamiltonian(5), [3.0, 0.01, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0, 0.0], 0.01, 100.0),
 }
 N_STEPS = 30
 STRIDE = 7
@@ -73,12 +75,21 @@ def _run(case: str, name: str) -> str:
     if case == "clocked_force":
         cfg = sx.IntegratorConfig(delta, omega, 2, N_STEPS)
         return _traj_digest(sx.integrate(Q0, P0, cfg, model, force=_clocked_force, stride=STRIDE, t0=T0))
+    lanes = 3
+    Qb = Q0 + 0.01 * np.arange(lanes)[:, None] * np.ones_like(Q0)
+    Pb = np.tile(P0, (lanes, 1))
     if case == "batch":
-        lanes = 3
-        Qb = Q0 + 0.01 * np.arange(lanes)[:, None] * np.ones_like(Q0)
-        Pb = np.tile(P0, (lanes, 1))
         omegas = omega * np.array([1.0, 0.5, 2.0])
         return _traj_digest(sx.integrate_batch(Qb, Pb, delta, omegas, 4, N_STEPS, model, stride=STRIDE))
+    if case in ("rk4", "rk4_forced", "rk4_batch"):
+        force = _clocked_force if case == "rk4_forced" else None
+        Qr, Pr = (Qb, Pb) if case == "rk4_batch" else (Q0, P0)
+        series = sx.rk4_trajectory(model, Qr, Pr, delta, N_STEPS, stride=STRIDE, force=force)
+        return _digest(series.times, series.Q, series.P)
+    if case == "vector_field":
+        rng = np.random.default_rng(len(name) + 1)
+        parts = (base + 0.01 * rng.uniform(-1.0, 1.0, (4,) + base.shape) for base in (Q0, P0, Q0, P0))
+        return _digest(*sx.extended_vector_field(model, omega, *parts))
     s = _perturbed_state(Q0, P0, seed=len(name))
     if case == "apply_scheme_backward":
         out = apply_scheme(s, build_scheme(4), -delta, omega, model)
@@ -100,6 +111,7 @@ def _run(case: str, name: str) -> str:
 CASES = (
     "integrate2", "integrate4", "linear_drag", "clocked_force", "batch",
     "apply_scheme_backward", "flow_a", "flow_b", "flow_a_forced", "flow_b_forced", "flow_c",
+    "rk4", "rk4_forced", "rk4_batch", "vector_field",
 )
 
 GOLDEN = {
@@ -136,6 +148,33 @@ GOLDEN = {
     "flow_a_forced/schwarzschild": "7d34759be4ffd6b87c9731ebf07d3a69",
     "flow_b_forced/schwarzschild": "f152aa860aae627f11b902fd5d57fe5c",
     "flow_c/schwarzschild": "6c674e1c37cde07f2fa866c28e44edcc",
+    "rk4/nls2": "5651d5b943619000a906ce77aea33b64",
+    "rk4_forced/nls2": "b0979f5355c99146a0396bc1761de505",
+    "rk4_batch/nls2": "cd04fef25e5816210ab801dfd0e41aae",
+    "vector_field/nls2": "2d344b81df5130e47a690b6d500f4fa6",
+    "integrate2/nls5": "29af103b0aafe55df8b4ffda3c122033",
+    "integrate4/nls5": "5b344f31247de71a7afc2078fe7bc0ac",
+    "linear_drag/nls5": "6bdd7007518cd012134477eddde345ba",
+    "clocked_force/nls5": "3915dd923f03389655eafd62e549f044",
+    "batch/nls5": "9478d73b4498ff4674f0b4b23f07777d",
+    "apply_scheme_backward/nls5": "a5cc06c0744493f5455797fc059579a9",
+    "flow_a/nls5": "811484731763861df1efcbff8bdcb30b",
+    "flow_b/nls5": "f6def250f8a479e8e59fea5dd8b73272",
+    "flow_a_forced/nls5": "962fbdd02b622e2e024880c4da6b8ae5",
+    "flow_b_forced/nls5": "1e6e937533b259b03e65acfcf4783e06",
+    "flow_c/nls5": "49d4443d64846b27b37800d7d8c98b6e",
+    "rk4/nls5": "d18b5d83f5815a1c2d258e09c509eed4",
+    "rk4_forced/nls5": "8124db1f14572adce95dc510138b1fd2",
+    "rk4_batch/nls5": "e12f209a19bb8c35046b3def99d79d78",
+    "vector_field/nls5": "53e7d97a2d21894109c9fb881a4a0ae6",
+    "rk4/product1d": "3110e29b1da09b778bcbcfc47e2aecb7",
+    "rk4_forced/product1d": "d4c38d8e5a8689cf819792a7255b9210",
+    "rk4_batch/product1d": "6ed4479cb33757851041b17c7a3d4d36",
+    "vector_field/product1d": "a198eb3acb93461fbdc68409dd0b1fb0",
+    "rk4/schwarzschild": "48376935a240b64dd0af81f523bde809",
+    "rk4_forced/schwarzschild": "85c5a00af6279c6ca89fda5dfbaba743",
+    "rk4_batch/schwarzschild": "1e85ba9b788c4b4d0ea412144e205ab8",
+    "vector_field/schwarzschild": "8042f01d320d285bdc9d2718d20ca8ab",
     "poincare_section": "3ab059ba0b858af4180adde51edfcc23",
 }
 

@@ -5,11 +5,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .errors import AdmissibilityError, PhaseUndefinedError
-from .integrator import _apply_plan, _stage_plan, build_scheme
+from .integrator import _components, _kernel, _lanes, build_scheme
 from .models import HamiltonianModel, extended_energy, extended_vector_field
 from .state import ExtendedState, Trajectory
 
@@ -298,6 +296,8 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
     polishes each bracket by root finding; the grid point is inadmissible
     when no real root exists.
     """
+    from scipy.optimize import brentq
+
     x = np.full(1, surface_value)
     qa = np.full(1, q)
     pa = np.full(1, p)
@@ -387,13 +387,10 @@ def poincare_section(
         model, ic_grid, omega, shell, surface.value, max_lanes=max_lanes
     )
     n_lanes = len(states)
-    q = states[:, 0].copy()
-    p = states[:, 1].copy()
-    x = states[:, 2].copy()
-    y = states[:, 3].copy()
-
-    plan = _stage_plan(build_scheme(order), delta, omega)
+    z = _lanes(*np.moveaxis(states, 1, 0))
+    kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model))
     comp = surface.component
+    surf = 2 + comp  # lanes of a 1-dof state: q, p, x, y
     shell_tol = shell_rtol * (1.0 + abs(shell))
 
     pts: list[list[float]] = []
@@ -405,20 +402,19 @@ def poincare_section(
 
     # Seeds sit exactly on the surface: each contributes its start point once.
     for lane in range(n_lanes):
-        if abs(x[lane, comp] - surface.value) <= crossing_tol:
-            pts.append([float(q[lane, 0]), float(p[lane, 0])])
-            y_vals.append(float(y[lane, 0]))
+        if abs(z[surf][lane] - surface.value) <= crossing_tol:
+            pts.append([float(z[0][lane]), float(z[1][lane])])
+            y_vals.append(float(z[3][lane]))
             cross_no.append(0)
             lane_of.append(lane)
             counts[lane] += 1
 
-    g_prev = x[:, comp] - surface.value
-    prev = (q.copy(), p.copy(), x.copy(), y.copy())
+    g_prev = z[surf] - surface.value
     active = counts < max_crossings
 
     for k in range(1, max_steps + 1):
-        q, p, x, y = _apply_plan(q, p, x, y, plan, model.pair)
-        g_new = x[:, comp] - surface.value
+        prev, z = z, kernel(z, 0.0)
+        g_new = z[surf] - surface.value
         if surface.direction > 0:
             crossed = (g_prev < 0.0) & (g_new >= 0.0)
         elif surface.direction < 0:
@@ -428,8 +424,8 @@ def poincare_section(
         crossed &= active
         if np.any(crossed):
             lanes = np.nonzero(crossed)[0]
-            z0 = tuple(c[lanes] for c in prev)
-            z1 = (q[lanes], p[lanes], x[lanes], y[lanes])
+            z0 = tuple(c[lanes, None] for c in prev)
+            z1 = tuple(c[lanes, None] for c in z)
             d0 = extended_vector_field(model, omega, *z0)
             d1 = extended_vector_field(model, omega, *z1)
             for j, lane in enumerate(lanes):
@@ -456,7 +452,6 @@ def poincare_section(
             if not np.any(active):
                 break
         g_prev = g_new
-        prev = (q, p, x, y)
 
     points = np.asarray(pts, dtype=float).reshape(-1, 2)
     y_arr = np.asarray(y_vals, dtype=float)
@@ -480,6 +475,8 @@ def poincare_section(
 
 
 def _nn_mean_distance(pts: np.ndarray) -> float:
+    from scipy.spatial import cKDTree
+
     dists, _ = cKDTree(pts).query(pts, k=2)
     return float(np.mean(dists[:, 1]))
 

@@ -6,7 +6,9 @@ class SympextError(Exception):
 
     An error raised while a trajectory is advanced carries the samples
     stored before it as ``partial`` (a Trajectory) and the index of the
-    last of them as ``last_valid_index``; both stay None otherwise.
+    last of them as ``last_valid_index``; both stay None otherwise. A
+    sample counts as stored only once it passed the escape check, so an
+    escape leaves the offending sample out of ``partial``.
     """
 
     partial = None

@@ -8,6 +8,7 @@ raises it to any even order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -16,12 +17,9 @@ import numpy as np
 
 from .errors import EvaluationError, SympextError, TrajectoryEscapedError
 from .models import HamiltonianModel
-from .state import ExtendedState, Trajectory, embed
+from .state import ExtendedState, Trajectory, embed, state_from_array
 
 GAMMA_VARIANTS = ("standard", "shifted")
-
-_A, _B, _C = 0, 1, 2
-_KIND_CODE = {"A": _A, "B": _B, "C": _C}
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
 
 
 def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force, t: float) -> ExtendedState:
-    """One exact flow, run as a one-stage plan; A and B refuse non-finite gradients."""
+    """One exact flow, run as a one-stage kernel; A and B refuse non-finite gradients."""
 
     def checked_pair(a, b):
         ga, gb = model.pair(a, b)
@@ -124,8 +122,9 @@ def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force,
                 raise EvaluationError(f"flow_{kind.lower()}: non-finite gradient component {name}[{bad}]")
         return ga, gb
 
-    plan = _stage_plan(CompositionScheme(0, ((kind, 1.0),)), delta, omega)
-    return ExtendedState(*_apply_plan(*s, plan, checked_pair, force, t))
+    grad = None if model is None else _packed_pair(checked_pair, s.dim)
+    kernel = _kernel(CompositionScheme(0, ((kind, 1.0),)), delta, omega, s.dim, grad, force)
+    return state_from_array(_blocks(kernel(_lanes(*s), t), s.dim))
 
 
 def flow_a(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
@@ -148,75 +147,161 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
     return _flow("C", s, delta, omega, None, None, 0.0)
 
 
-def _stage_plan(scheme: CompositionScheme, delta: float, omega):
-    """Precompute substeps and binding rotations for a fixed (delta, omega).
+# -- the generated step kernel ---------------------------------------------
+#
+# One step of a composition is straight-line Python over the 4d lane
+# variables q0..q{d-1}, p0.., x0.., y0.., one source line per stage. The same
+# source runs on Python floats (one lane) and on numpy columns (a batch):
+# every operation is elementwise and in the order of the (..., d) array
+# formulas, so both give the bits of the array arithmetic. The compiled
+# source depends only on the stage kinds, d and whether a force is present;
+# substeps and rotations are closure constants bound per call.
 
-    ``omega`` may be a scalar or an array broadcastable against the batch
-    axes of the state (one binding strength per trajectory lane).
+_STEP_HEADER = 4  # source lines before the first stage line
+
+
+def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
+    """Source line of stage k: one exact flow over the lane variables."""
+    q, p, x, y = ([f"{c}{i}" for i in range(d)] for c in "qpxy")
+    h = f"h{k}"
+    if kind == "C":
+        c, s = f"c{k}", f"s{k}"
+        return "; ".join(
+            f"u = {q[i]} - {x[i]}; v = {p[i]} - {y[i]}; su = {q[i]} + {x[i]}; sv = {p[i]} + {y[i]}; "
+            f"ru = {c} * u + {s} * v; rv = {c} * v - {s} * u; "
+            f"{q[i]} = 0.5 * (su + ru); {p[i]} = 0.5 * (sv + rv); "
+            f"{x[i]} = 0.5 * (su - ru); {y[i]} = 0.5 * (sv - rv)"
+            for i in range(d)
+        )
+    if kind != "A" and kind != "B":
+        return "pass"  # a rotation by a zero angle
+    # A: H(q, y) kicks p and drifts x; B: H(x, p) drifts q and kicks y.
+    pos, mom, kicked, drifted, clock = (q, y, p, x, "ta") if kind == "A" else (x, p, y, q, "tb")
+    ga, gb, f = ([f"{c}{i}" for i in range(d)] for c in "abf")
+    args = ", ".join(pos + mom)
+    parts = [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
+    if forced:
+        parts.append(f"({', '.join(f)},) = F({args}, {clock})")
+        parts += [f"{kicked[i]} = {kicked[i]} + {h} * ({f[i]} - {ga[i]})" for i in range(d)]
+    else:
+        parts += [f"{kicked[i]} = {kicked[i]} - {h} * {ga[i]}" for i in range(d)]
+    parts += [f"{drifted[i]} = {drifted[i]} + {h} * {gb[i]}" for i in range(d)]
+    if forced:
+        parts.append(f"{clock} = {clock} + {h}")
+    return "; ".join(parts)
+
+
+@functools.cache
+def _step_factory(kinds: str, d: int, forced: bool):
+    """Compiled factory of the step function for one stage-kind sequence.
+
+    ``kinds`` has one letter per stage, "-" for a rotation that a zero
+    binding skips. The factory takes the gradient components G, the force
+    components F, the substeps h0.. and the cos/sin pairs of the rotations.
     """
-    om = np.asarray(omega, dtype=float)
-    batched = om.ndim > 0
-    plan = []
-    for kind, frac in scheme.stages:
-        h = frac * delta
-        code = _KIND_CODE[kind]
-        if code == _C:
-            ang = 2.0 * om * h
-            if batched:
-                c, sn = np.cos(ang)[..., None], np.sin(ang)[..., None]
-            elif ang == 0.0:
-                c = sn = None
-            else:
-                c, sn = math.cos(ang), math.sin(ang)
-            plan.append((code, h, c, sn))
-        else:
-            plan.append((code, h, None, None))
-    return plan
+    lanes = ", ".join(f"{c}{i}" for c in "qpxy" for i in range(d))
+    consts = [f"h{k}" for k in range(len(kinds))] + [f"c{k}, s{k}" for k, kind in enumerate(kinds) if kind == "C"]
+    lines = [
+        f"def factory(G, F, {', '.join(consts)}):",
+        "    def step(z, t):",
+        f"        {lanes} = z",
+        "        ta = tb = t",
+    ]
+    lines += ["        " + _stage_source(k, kind, d, forced) for k, kind in enumerate(kinds)]
+    lines += [f"        return {lanes}", "    return step"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<sympext step {kinds} d={d}>", "exec"), namespace)
+    return namespace["factory"]
 
 
-def _apply_plan(q, p, x, y, plan, pair, force=None, t0: float = 0.0, wrap_errors: bool = False):
-    """Run the precomputed stage sequence once. Pure arithmetic, no checks.
+def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, grad, force=None):
+    """The step function z -> z of ``scheme`` at (delta, omega), called as step(z, t0).
 
-    ``pair`` is the model's gradient pair, ``HamiltonianModel.pair``.
+    ``grad`` gives the gradient components (``_components``); ``force`` is a
+    plain F(position, momentum, t) or None. ``omega`` may be a scalar or an
+    array broadcastable against the batch shape (one binding per lane).
     Dissipative forces replace only the momentum kicks of the A and B
     stages; each stage kind keeps its own elapsed-time clock, advancing by
     the stage substep, so F sees the time its flow has integrated to.
     """
-    t_a = t_b = t0
-    for index, (kind, h, c, sn) in enumerate(plan):
-        try:
-            if kind == _A:
-                ga, gb = pair(q, y)
-                if force is None:
-                    p = p - h * ga
-                else:
-                    p = p + h * (force(q, y, t_a) - ga)
-                x = x + h * gb
-                t_a += h
-            elif kind == _B:
-                ga, gb = pair(x, p)
-                q = q + h * gb
-                if force is None:
-                    y = y - h * ga
-                else:
-                    y = y + h * (force(x, p, t_b) - ga)
-                t_b += h
-            elif c is not None:
-                dq = q - x
-                dp = p - y
-                sq = q + x
-                sp = p + y
-                rq = c * dq + sn * dp
-                rp = c * dp - sn * dq
-                q = 0.5 * (sq + rq)
-                p = 0.5 * (sp + rp)
-                x = 0.5 * (sq - rq)
-                y = 0.5 * (sp - rp)
-        except SympextError as exc:
-            if wrap_errors:
-                raise type(exc)(f"stage {index} ({'ABC'[kind]}): {exc}") from exc
-            raise
-    return q, p, x, y
+    om = np.asarray(omega, dtype=float)
+    kinds, substeps, rotations = [], [], []
+    for kind, frac in scheme.stages:
+        h = frac * delta
+        substeps.append(h)
+        if kind == "C":
+            ang = 2.0 * om * h
+            if om.ndim:
+                rotations += [np.cos(ang), np.sin(ang)]
+            elif ang == 0.0:
+                kind = "-"
+            else:
+                rotations += [math.cos(ang), math.sin(ang)]
+        kinds.append(kind)
+    forces = None if force is None else _packed_force(force, d)
+    return _step_factory("".join(kinds), d, force is not None)(grad, forces, *substeps, *rotations)
+
+
+def _failed_stage(exc: BaseException, kernel) -> int:
+    """Index of the stage whose line of ``kernel`` raised ``exc``."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not kernel.__code__:
+        tb = tb.tb_next
+    return tb.tb_lineno - _STEP_HEADER - 1
+
+
+def _lanes(*blocks) -> list:
+    """The lane variables of (..., d) blocks, block by block.
+
+    Python floats for one lane, one numpy column per component for a batch.
+    """
+    arr = np.stack(blocks, axis=-2).astype(float, copy=False)
+    if arr.ndim == 2:
+        return arr.ravel().tolist()
+    return list(np.moveaxis(arr.reshape(arr.shape[:-2] + (-1,)), -1, 0))
+
+
+def _blocks(z, d: int) -> np.ndarray:
+    """Inverse of ``_lanes``: the lane variables as one (..., n_blocks, d) array."""
+    arr = np.stack(np.broadcast_arrays(*z), axis=-1)
+    return arr.reshape(arr.shape[:-1] + (-1, d))
+
+
+def _lane_rows(out: np.ndarray) -> np.ndarray:
+    """View of an (n, ..., n_blocks, d) sample array in which ``rows[i] = z`` stores lanes z."""
+    return np.moveaxis(out.reshape(out.shape[:-2] + (-1,)), -1, 1)
+
+
+def _columns(g):
+    """The d components of a (..., d) array: Python floats for one lane."""
+    return g.tolist() if g.ndim == 1 else tuple(np.moveaxis(g, -1, 0))
+
+
+def _packed_pair(pair, d: int):
+    """Gradient components served by an array pair(a, b): pack the lanes, call, unpack."""
+
+    def components(*ab):
+        ga, gb = pair(np.stack(ab[:d], axis=-1), np.stack(ab[d:], axis=-1))
+        return _columns(ga), _columns(gb)
+
+    return components
+
+
+def _packed_force(force, d: int):
+    """Force components from a plain F(position, momentum, t), broadcast to the momentum."""
+
+    def components(*abt):
+        mom = np.stack(abt[d:-1], axis=-1)
+        return _columns(np.broadcast_to(force(np.stack(abt[:d], axis=-1), mom, abt[-1]), mom.shape))
+
+    return components
+
+
+def _components(model: HamiltonianModel):
+    """The model's gradient in per-component form, through the array pair if it has none."""
+    if model.grad_components is not None:
+        return model.grad_components
+    return _packed_pair(model.pair, model.dim)
 
 
 def apply_scheme(
@@ -229,8 +314,13 @@ def apply_scheme(
     t0: float = 0.0,
 ) -> ExtendedState:
     """One composed update with a free-signed step (used by adjointness tests)."""
-    plan = _stage_plan(scheme, delta, omega)
-    return ExtendedState(*_apply_plan(*s, plan, model.pair, force, t0, wrap_errors=True))
+    kernel = _kernel(scheme, delta, omega, s.dim, _components(model), force)
+    try:
+        z = kernel(_lanes(*s), t0)
+    except SympextError as exc:
+        k = _failed_stage(exc, kernel)
+        raise type(exc)(f"stage {k} ({scheme.stages[k][0]}): {exc}") from exc
+    return state_from_array(_blocks(z, s.dim))
 
 
 def step(
@@ -260,54 +350,43 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
     return idx
 
 
-def _check_sample(q, p, x, y, escape_bound, step_index):
-    biggest = 0.0
-    for c in (q, p, x, y):
-        if not np.all(np.isfinite(c)):
-            biggest = math.inf
-            break
-        biggest = max(biggest, float(np.max(np.abs(c))))
-    if biggest > escape_bound:
-        raise TrajectoryEscapedError(
-            f"trajectory escaped: max |state| = {biggest:.3e} exceeds bound {escape_bound:.3e} "
-            f"at step {step_index}"
-        )
-
-
-def _drive(s0, plan, model, force, delta, n_steps, stride, escape_bound, t0=0.0, observers=(), projection="copy1"):
+def _drive(s0, scheme, delta, omega, model, force, n_steps, stride, escape_bound, t0=0.0, observers=(),
+           projection="copy1"):
     """The trajectory loop behind ``integrate`` and ``integrate_batch``.
 
-    Advances ``s0`` by ``n_steps`` runs of the stage plan, stores every
-    ``stride``-th state (the final state always included), checks each
-    stored sample against the escape bound and calls each observer as
-    observer(t, state) there. Any SympextError raised on the way leaves
-    with the samples stored so far attached as ``partial``.
+    Advances ``s0`` by ``n_steps`` runs of the step kernel, stores every
+    ``stride``-th state (the final state always included) in its output
+    row, checks that row against the escape bound and calls each observer
+    as observer(t, state) there, with a view of the row. A sample counts as
+    stored once it passed the check. Any SympextError raised on the way
+    leaves with the stored samples attached as ``partial``.
     """
     if s0.dim != model.dim:
         raise ValueError(f"initial condition dimension {s0.dim} does not match model dim {model.dim}")
+    kernel = _kernel(scheme, delta, omega, s0.dim, _components(model), force)
     sample_at = _sample_indices(n_steps, stride)
     times = t0 + delta * np.asarray(sample_at, dtype=float)
     out = np.empty((len(sample_at),) + s0.q.shape[:-1] + (4, s0.dim))
+    rows = _lane_rows(out)
 
-    pair = model.pair
-    q, p, x, y = s0
-    out[0, ..., 0, :], out[0, ..., 1, :], out[0, ..., 2, :], out[0, ..., 3, :] = q, p, x, y
-    n_stored = 1
+    z = _lanes(*s0)
+    n_stored = 0
     try:
-        _check_sample(q, p, x, y, escape_bound, 0)
-        for obs in observers:
-            obs(times[0], ExtendedState(q, p, x, y))
-        for k in range(1, n_steps + 1):
-            q, p, x, y = _apply_plan(q, p, x, y, plan, pair, force, t0 + (k - 1) * delta)
-            if n_stored < len(sample_at) and k == sample_at[n_stored]:
-                out[n_stored, ..., 0, :] = q
-                out[n_stored, ..., 1, :] = p
-                out[n_stored, ..., 2, :] = x
-                out[n_stored, ..., 3, :] = y
-                n_stored += 1
-                _check_sample(q, p, x, y, escape_bound, k)
-                for obs in observers:
-                    obs(times[n_stored - 1], ExtendedState(q, p, x, y))
+        for k in range(n_steps + 1):
+            if k:
+                z = kernel(z, t0 + (k - 1) * delta)
+            if k != sample_at[n_stored]:
+                continue
+            rows[n_stored] = z
+            biggest = np.abs(out[n_stored]).max()
+            if not biggest <= escape_bound:  # also true for NaN, reported as inf
+                raise TrajectoryEscapedError(
+                    f"trajectory escaped: max |state| = {math.inf if math.isnan(biggest) else biggest:.3e} "
+                    f"exceeds bound {escape_bound:.3e} at step {k}"
+                )
+            n_stored += 1
+            for obs in observers:
+                obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
     except SympextError as exc:
         exc.partial = Trajectory(times[:n_stored].copy(), out[:n_stored].copy(), projection)
         exc.last_valid_index = n_stored - 1
@@ -336,15 +415,14 @@ def integrate(
     calls each observer as observer(t, state) at the sample points. Aborts
     with TrajectoryEscapedError if a sample leaves the escape bound or
     turns non-finite; this and any other SympextError raised mid-run
-    carries the partial trajectory.
+    carries the partial trajectory of the samples before it.
     """
     if scheme is None:
         scheme = build_scheme(cfg.order, variant)
     elif scheme.order != cfg.order:
         raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    plan = _stage_plan(scheme, cfg.delta, cfg.omega)
-    return _drive(embed(Q0, P0), plan, model, force, cfg.delta, cfg.n_steps, stride, escape_bound,
-                  t0, observers, projection)
+    return _drive(embed(Q0, P0), scheme, cfg.delta, cfg.omega, model, force, cfg.n_steps, stride,
+                  escape_bound, t0, observers, projection)
 
 
 def integrate_batch(
@@ -367,6 +445,5 @@ def integrate_batch(
     giving one binding strength per lane. Returns a Trajectory whose states
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
-    plan = _stage_plan(build_scheme(order, variant), delta, omega)
-    return _drive(embed(np.atleast_2d(Q0), np.atleast_2d(P0)), plan, model, force, delta, n_steps, stride,
-                  escape_bound)
+    return _drive(embed(np.atleast_2d(Q0), np.atleast_2d(P0)), build_scheme(order, variant), delta, omega,
+                  model, force, n_steps, stride, escape_bound)

@@ -9,7 +9,7 @@ broadcast over leading batch axes; the trailing axis has length ``dim``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,8 +27,17 @@ _HORIZON_MARGIN = 1e-9
 class HamiltonianModel:
     """Evaluation interface for one Hamiltonian H(a, b) with closed-form gradients.
 
-    Give either ``grad_pair``, returning both gradient blocks at once, or
-    the two blocks ``grad_a`` and ``grad_b`` separately.
+    Give the gradient in one of three forms:
+
+    - ``grad_components(a0, ..., a_{d-1}, b0, ..., b_{d-1})`` returning the
+      two blocks component by component, ``(ga components, gb components)``.
+      Each argument is a Python float for one lane or one numpy column of a
+      batch, and the integrators call it directly on either;
+    - ``grad_pair(a, b)`` returning both (..., d) blocks at once;
+    - the two blocks ``grad_a(a, b)`` and ``grad_b(a, b)`` separately.
+
+    A component form must fail the way numpy arrays do: it may not raise
+    OverflowError or ZeroDivisionError where numpy would give inf or NaN.
     """
 
     name: str
@@ -37,12 +46,31 @@ class HamiltonianModel:
     grad_a: Callable[[Array, Array], Array] | None = None
     grad_b: Callable[[Array, Array], Array] | None = None
     grad_pair: Callable[[Array, Array], tuple[Array, Array]] | None = None
+    grad_components: Callable[..., tuple[Sequence, Sequence]] | None = None
 
     def pair(self, a, b):
-        """Both gradient blocks at once, sharing subexpressions when available."""
+        """Both (..., d) gradient blocks at once, sharing subexpressions when available."""
+        if self.grad_components is not None:
+            a, b = np.asarray(a), np.asarray(b)
+            shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+            ga, gb = self.grad_components(*_unstack(a), *_unstack(b))
+            return _stack(ga, shape), _stack(gb, shape)
         if self.grad_pair is not None:
             return self.grad_pair(a, b)
         return self.grad_a(a, b), self.grad_b(a, b)
+
+
+def _unstack(a: Array) -> list:
+    """The d components a[..., i] of a (..., d) array."""
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
+def _stack(components, shape) -> Array:
+    """The (..., d) block of the given shape from its d components (floats or columns)."""
+    out = np.empty(shape)
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
 
 
 def product_hamiltonian() -> HamiltonianModel:
@@ -55,10 +83,26 @@ def product_hamiltonian() -> HamiltonianModel:
     def value(a, b):
         return 0.5 * (a[..., 0] ** 2 + 1.0) * (b[..., 0] ** 2 + 1.0)
 
-    def grad_pair(a, b):
-        return a * (b * b + 1.0), b * (a * a + 1.0)
+    def grad_components(a, b):
+        return (a * (b * b + 1.0),), (b * (a * a + 1.0),)
 
-    return HamiltonianModel("product1d", 1, value, grad_pair=grad_pair)
+    return HamiltonianModel("product1d", 1, value, grad_components=grad_components)
+
+
+def _require_outside_horizon(r):
+    ok = r > 2.0 + _HORIZON_MARGIN
+    if ok is not True and not np.all(ok):
+        raise DomainError("inside horizon: Schwarzschild model needs r > 2")
+
+
+def _cube(r):
+    """r**3 through numpy's power loop, so that floats and columns give the same bits.
+
+    A Python float ``r ** 3`` goes to the C library's pow, which rounds
+    differently in some cases, and raises OverflowError where numpy gives inf.
+    """
+    c = np.power(r, 3)
+    return c if c.ndim else float(c)
 
 
 def schwarzschild_hamiltonian() -> HamiltonianModel:
@@ -73,31 +117,21 @@ def schwarzschild_hamiltonian() -> HamiltonianModel:
     phi coordinates are cyclic, so p_t and p_phi are first integrals.
     """
 
-    def _radius(a):
-        r = a[..., 1]
-        if not np.all(r > 2.0 + _HORIZON_MARGIN):
-            raise DomainError("inside horizon: Schwarzschild model needs r > 2")
-        return r
-
     def value(a, b):
-        r = _radius(a)
+        r = a[..., 1]
+        _require_outside_horizon(r)
         u = 1.0 - 2.0 / r
         return 0.5 * (b[..., 0] ** 2 / u - u * b[..., 1] ** 2 - b[..., 2] ** 2 / r**2)
 
-    def grad_pair(a, b):
-        r = _radius(a)
+    def grad_components(t, r, phi, pt, pr, pphi):
+        _require_outside_horizon(r)
         u = 1.0 - 2.0 / r
         du = 2.0 / (r * r)
-        pt, pr, pphi = b[..., 0], b[..., 1], b[..., 2]
-        ga = np.zeros_like(a)
-        ga[..., 1] = 0.5 * (-du * (pt / u) ** 2 - du * pr**2) + pphi**2 / r**3
-        gb = np.empty_like(b)
-        gb[..., 0] = pt / u
-        gb[..., 1] = -u * pr
-        gb[..., 2] = -pphi / r**2
-        return ga, gb
+        vt = pt / u
+        gr = 0.5 * (-du * (vt * vt) - du * (pr * pr)) + pphi * pphi / _cube(r)
+        return (0.0, gr, 0.0), (vt, -u * pr, -pphi / (r * r))
 
-    return HamiltonianModel("schwarzschild", 3, value, grad_pair=grad_pair)
+    return HamiltonianModel("schwarzschild", 3, value, grad_components=grad_components)
 
 
 def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
@@ -127,21 +161,27 @@ def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
         )
         return quart - np.sum(coup, axis=-1)
 
-    def grad_pair(q, p):
-        r2 = q * q + p * p
-        gq = r2 * q
-        gp = r2 * p
-        qm, qn = q[..., :-1], q[..., 1:]
-        pm, pn = p[..., :-1], p[..., 1:]
-        pmpn = pm * pn
-        qmqn = qm * qn
-        gq[..., :-1] -= 2.0 * qm * (qn * qn - pn * pn) + 4.0 * pmpn * qn
-        gq[..., 1:] -= 2.0 * qn * (qm * qm - pm * pm) + 4.0 * pmpn * qm
-        gp[..., :-1] -= 2.0 * pm * (pn * pn - qn * qn) + 4.0 * pn * qmqn
-        gp[..., 1:] -= 2.0 * pn * (pm * pm - qm * qm) + 4.0 * pm * qmqn
+    def grad_components(*qp):
+        q, p = qp[:n_modes], qp[n_modes:]
+        gq = []
+        gp = []
+        for qi, pi in zip(q, p):
+            r2 = qi * qi + pi * pi
+            gq.append(r2 * qi)
+            gp.append(r2 * pi)
+        # Each mode takes the coupling term of its right neighbor before the
+        # one of its left neighbor; walking the bonds downward keeps that order.
+        for i in range(n_modes - 1, 0, -1):
+            qm, qn, pm, pn = q[i - 1], q[i], p[i - 1], p[i]
+            pmpn = pm * pn
+            qmqn = qm * qn
+            gq[i - 1] -= 2.0 * qm * (qn * qn - pn * pn) + 4.0 * pmpn * qn
+            gq[i] -= 2.0 * qn * (qm * qm - pm * pm) + 4.0 * pmpn * qm
+            gp[i - 1] -= 2.0 * pm * (pn * pn - qn * qn) + 4.0 * pn * qmqn
+            gp[i] -= 2.0 * pn * (pm * pm - qm * qm) + 4.0 * pm * qmqn
         return gq, gp
 
-    return HamiltonianModel("nls", n_modes, value, grad_pair=grad_pair)
+    return HamiltonianModel("nls", n_modes, value, grad_components=grad_components)
 
 
 @dataclass(frozen=True)

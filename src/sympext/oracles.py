@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _sample_indices
+from .integrator import _blocks, _components, _lane_rows, _lanes, _packed_force, _sample_indices
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -150,24 +150,38 @@ class PhaseSeries:
         return self.Q.shape[-1]
 
 
-def _canonical_rhs(model: HamiltonianModel, force, Q, P, t):
-    ga, gb = model.pair(Q, P)
-    dP = -ga
-    if force is not None:
-        dP = dP + force(Q, P, t)
-    return gb, dP
+def _canonical_rhs(grad, force, z, t):
+    ga, gb = grad(*z)
+    if force is None:
+        return [*gb, *(-g for g in ga)]
+    return [*gb, *(-g + f for g, f in zip(ga, force(*z, t)))]
+
+
+def _rk4(grad, force, z, h, t):
+    """One classical RK4 step on the lane variables z = (Q components, P components).
+
+    ``grad`` and ``force`` are the per-component forms of the gradient and
+    of F(Q, P, t) (``integrator._components``/``_packed_force``); the lanes
+    are Python floats for one trajectory or numpy columns for a batch.
+    """
+    half = 0.5 * h
+    k1 = _canonical_rhs(grad, force, z, t)
+    k2 = _canonical_rhs(grad, force, [a + half * k for a, k in zip(z, k1)], t + half)
+    k3 = _canonical_rhs(grad, force, [a + half * k for a, k in zip(z, k2)], t + half)
+    k4 = _canonical_rhs(grad, force, [a + h * k for a, k in zip(z, k3)], t + h)
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+
+
+def _rk4_parts(model: HamiltonianModel, force):
+    return _components(model), None if force is None else _packed_force(force, model.dim)
 
 
 def rk4_step(model: HamiltonianModel, Q, P, delta: float, *, force=None, t: float = 0.0):
     """One classical 4th-order Runge-Kutta step of the canonical equations."""
-    h = delta
-    k1q, k1p = _canonical_rhs(model, force, Q, P, t)
-    k2q, k2p = _canonical_rhs(model, force, Q + 0.5 * h * k1q, P + 0.5 * h * k1p, t + 0.5 * h)
-    k3q, k3p = _canonical_rhs(model, force, Q + 0.5 * h * k2q, P + 0.5 * h * k2p, t + 0.5 * h)
-    k4q, k4p = _canonical_rhs(model, force, Q + h * k3q, P + h * k3p, t + h)
-    Qn = Q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    Pn = P + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return Qn, Pn
+    z = _rk4(*_rk4_parts(model, force), _lanes(Q, P), delta, t)
+    QP = _blocks(z, model.dim)
+    return QP[..., 0, :], QP[..., 1, :]
 
 
 def rk4_trajectory(
@@ -181,39 +195,41 @@ def rk4_trajectory(
     force=None,
 ) -> PhaseSeries:
     """Fixed-step RK4 run sampled every ``stride`` steps (final step included)."""
-    Q = np.atleast_1d(np.asarray(Q0, dtype=float)).copy()
-    P = np.atleast_1d(np.asarray(P0, dtype=float)).copy()
+    Q = np.atleast_1d(np.asarray(Q0, dtype=float))
+    P = np.atleast_1d(np.asarray(P0, dtype=float))
+    grad, forces = _rk4_parts(model, force)
     sample_at = _sample_indices(n_steps, stride)
     times = delta * np.asarray(sample_at, dtype=float)
-    Qs = np.empty((len(sample_at),) + Q.shape)
-    Ps = np.empty_like(Qs)
-    Qs[0], Ps[0] = Q, P
+    out = np.empty((len(sample_at),) + Q.shape[:-1] + (2, Q.shape[-1]))
+    rows = _lane_rows(out)
+    z = _lanes(Q, P)
+    rows[0] = z
     nxt = 1
     for k in range(1, n_steps + 1):
-        Q, P = rk4_step(model, Q, P, delta, force=force, t=(k - 1) * delta)
+        z = _rk4(grad, forces, z, delta, (k - 1) * delta)
         if nxt < len(sample_at) and k == sample_at[nxt]:
-            if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(P))):
+            rows[nxt] = z
+            if not np.all(np.isfinite(out[nxt])):
                 raise EvaluationError(f"non-finite state in RK4 run at step {k}")
-            Qs[nxt], Ps[nxt] = Q, P
             nxt += 1
-    return PhaseSeries(times, Qs, Ps)
+    return PhaseSeries(times, out[:, ..., 0, :], out[:, ..., 1, :])
 
 
 def _rk4_sampled(model, Q0, P0, grid_times, substeps, force):
-    Q = np.asarray(Q0, dtype=float).copy()
-    P = np.asarray(P0, dtype=float).copy()
-    Qs = np.empty((len(grid_times),) + Q.shape)
-    Ps = np.empty_like(Qs)
-    Qs[0], Ps[0] = Q, P
+    grad, forces = _rk4_parts(model, force)
+    out = np.empty((len(grid_times),) + Q0.shape[:-1] + (2, Q0.shape[-1]))
+    rows = _lane_rows(out)
+    z = _lanes(Q0, P0)
+    rows[0] = z
     for i in range(1, len(grid_times)):
-        t0, t1 = grid_times[i - 1], grid_times[i]
+        t0, t1 = float(grid_times[i - 1]), float(grid_times[i])
         h = (t1 - t0) / substeps
         t = t0
         for _ in range(substeps):
-            Q, P = rk4_step(model, Q, P, h, force=force, t=t)
+            z = _rk4(grad, forces, z, h, t)
             t += h
-        Qs[i], Ps[i] = Q, P
-    return Qs, Ps
+        rows[i] = z
+    return out[:, ..., 0, :], out[:, ..., 1, :]
 
 
 def reference_flow(

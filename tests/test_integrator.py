@@ -224,9 +224,11 @@ class TestDissipative:
         cfg = sx.IntegratorConfig(0.05, 20.0, 4, 1)
         scheme = build_scheme(4)
         plain = sx.step(s, cfg, scheme, product)
-        forced = sx.step(s, cfg, scheme, product, force=lambda pos, mom, t: np.zeros_like(mom))
-        for a, b in zip(plain, forced):
-            np.testing.assert_array_equal(a, b)
+        # A force may also return a scalar that broadcasts against the momentum.
+        for zero in (lambda pos, mom, t: np.zeros_like(mom), lambda pos, mom, t: 0.0):
+            forced = sx.step(s, cfg, scheme, product, force=zero)
+            for a, b in zip(plain, forced):
+                np.testing.assert_array_equal(a, b)
 
     def test_dissipative_needs_matching_order(self, product):
         cfg = sx.IntegratorConfig(0.05, 20.0, 4, 1)
@@ -306,6 +308,7 @@ class TestIntegrate:
         partial = err.value.partial
         assert partial is not None and len(partial) >= 1
         assert err.value.last_valid_index == len(partial) - 1
+        assert np.all(np.abs(partial.states) <= 1e6)
 
     def test_dimension_mismatch_rejected(self, product):
         cfg = sx.IntegratorConfig(0.1, 1.0, 2, 1)
@@ -343,6 +346,49 @@ class TestIntegrate:
             errs[variant] = sx.fit_loglog_slope((0.02, 0.01, 0.005), per_delta)
         assert errs["standard"] > 3.7
         assert errs["shifted"] < 3.0
+
+
+# Per model: (factory, Q0, P0, delta, omega) of a short, well-resolved run.
+PROPERTY_MODELS = {
+    "product1d": (sx.product_hamiltonian, [-3.0], [0.0], 0.02, 15.0),
+    "schwarzschild": (sx.schwarzschild_hamiltonian, [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], 0.2, 2.0),
+    "nls": (lambda: sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], 0.01, 100.0),
+}
+
+
+def _perturbed(base, rng, shape=()):
+    base = np.asarray(base, dtype=float)
+    return base + 0.05 * rng.uniform(-1.0, 1.0, shape + base.shape)
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_MODELS))
+class TestKernelProperties:
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([2, 4]), stride=st.integers(1, 9))
+    def test_batch_lane_equals_single_run_bitwise(self, name, seed, order, stride):
+        # Floats (one lane) against columns (a batch) of the same kernel source.
+        factory, Q0, P0, delta, omega = PROPERTY_MODELS[name]
+        model = factory()
+        rng = np.random.default_rng(seed)
+        Qb, Pb = _perturbed(Q0, rng, (3,)), _perturbed(P0, rng, (3,))
+        omegas = omega * rng.uniform(0.5, 2.0, 3)
+        batch = sx.integrate_batch(Qb, Pb, delta, omegas, order, 25, model, stride=stride)
+        for lane in range(3):
+            cfg = sx.IntegratorConfig(delta, float(omegas[lane]), order, 25)
+            single = sx.integrate(Qb[lane], Pb[lane], cfg, model, stride=stride)
+            np.testing.assert_array_equal(batch.states[:, lane], single.states)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([2, 4]))
+    def test_backward_step_undoes_forward_step(self, name, seed, order):
+        factory, Q0, P0, delta, omega = PROPERTY_MODELS[name]
+        model = factory()
+        rng = np.random.default_rng(seed)
+        s = sx.ExtendedState(*(_perturbed(base, rng) for base in (Q0, P0, Q0, P0)))
+        scheme = build_scheme(order)
+        back = apply_scheme(apply_scheme(s, scheme, delta, omega, model), scheme, -delta, omega, model)
+        for got, want in zip(back, s):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * (1.0 + np.max(np.abs(want))))
 
 
 class TestSymplecticity:

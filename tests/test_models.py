@@ -41,6 +41,37 @@ def nls_energy_naive(q, p):
     return total
 
 
+def nls_grad_stencil(q, p):
+    """The (..., d) array stencil of the mode-system gradient, kept as the bitwise reference."""
+    r2 = q * q + p * p
+    gq = r2 * q
+    gp = r2 * p
+    qm, qn = q[..., :-1], q[..., 1:]
+    pm, pn = p[..., :-1], p[..., 1:]
+    pmpn = pm * pn
+    qmqn = qm * qn
+    gq[..., :-1] -= 2.0 * qm * (qn * qn - pn * pn) + 4.0 * pmpn * qn
+    gq[..., 1:] -= 2.0 * qn * (qm * qm - pm * pm) + 4.0 * pmpn * qm
+    gp[..., :-1] -= 2.0 * pm * (pn * pn - qn * qn) + 4.0 * pn * qmqn
+    gp[..., 1:] -= 2.0 * pn * (pm * pm - qm * qm) + 4.0 * pm * qmqn
+    return gq, gp
+
+
+def schwarzschild_grad_arrays(a, b):
+    """The (..., 3) array form of the geodesic gradient, kept as the bitwise reference."""
+    r = a[..., 1]
+    u = 1.0 - 2.0 / r
+    du = 2.0 / (r * r)
+    pt, pr, pphi = b[..., 0], b[..., 1], b[..., 2]
+    ga = np.zeros_like(a)
+    ga[..., 1] = 0.5 * (-du * (pt / u) ** 2 - du * pr**2) + pphi**2 / r**3
+    gb = np.empty_like(b)
+    gb[..., 0] = pt / u
+    gb[..., 1] = -u * pr
+    gb[..., 2] = -pphi / r**2
+    return ga, gb
+
+
 def assert_gradients_consistent(model, sample, n_points=100, seed=0, rtol=1e-6):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -100,6 +131,10 @@ class TestSchwarzschild:
             m.value(np.array([0.0, 1.9, 0.0]), np.zeros(3))
         with pytest.raises(sx.DomainError):
             m.pair(np.array([0.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(sx.DomainError):
+            m.grad_components(0.0, 1.9, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(sx.DomainError):
+            m.grad_components(np.zeros(2), np.array([3.0, 1.9]), np.zeros(2), *np.zeros((3, 2)))
 
     def test_gradients_match_finite_differences(self):
         assert_gradients_consistent(
@@ -187,6 +222,58 @@ class TestNls:
             ga, gb = fd_gradients(m, q, p)
             bracket = np.sum(2.0 * q * gb - 2.0 * p * ga)
             assert abs(bracket) <= 1e-8 * (1.0 + abs(m.value(q, p)))
+
+
+SYSTEMS = {
+    "product1d": sx.product_hamiltonian,
+    "schwarzschild": sx.schwarzschild_hamiltonian,
+    "nls2": lambda: sx.nls_hamiltonian(2),
+    "nls5": lambda: sx.nls_hamiltonian(5),
+}
+
+
+def _sample_points(name, rng, shape, scale=1.0):
+    model = SYSTEMS[name]()
+    a = scale * rng.uniform(-2.0, 2.0, shape + (model.dim,))
+    b = scale * rng.uniform(-2.0, 2.0, shape + (model.dim,))
+    if name == "schwarzschild":
+        a[..., 1] = scale * rng.uniform(2.5, 40.0, shape)
+    return model, a, b
+
+
+class TestGradientComponents:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_floats_columns_and_pair_agree_bitwise(self, name):
+        model, a, b = _sample_points(name, np.random.default_rng(len(name)), (64,))
+        ga, gb = model.pair(a, b)
+        cols = model.grad_components(*a.T, *b.T)
+        np.testing.assert_array_equal(np.broadcast_arrays(*cols[0], ga[:, 0])[:-1], ga.T)
+        np.testing.assert_array_equal(np.broadcast_arrays(*cols[1], gb[:, 0])[:-1], gb.T)
+        for lane in range(len(a)):
+            fa, fb = model.grad_components(*a[lane].tolist(), *b[lane].tolist())
+            assert all(type(v) is float for v in (*fa, *fb))
+            np.testing.assert_array_equal(fa, ga[lane])
+            np.testing.assert_array_equal(fb, gb[lane])
+
+    @pytest.mark.parametrize("name, reference", [
+        ("nls2", nls_grad_stencil), ("nls5", nls_grad_stencil), ("schwarzschild", schwarzschild_grad_arrays),
+    ])
+    def test_pair_equals_array_formula_bitwise(self, name, reference):
+        model, a, b = _sample_points(name, np.random.default_rng(3), (50, 2))
+        for got, want in zip(model.pair(a, b), reference(a, b)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_overflow_on_floats_fails_like_columns(self, name):
+        # At this scale every cube (q^3, r^3) leaves the double range; a Python
+        # float ** would raise OverflowError there, where numpy gives inf.
+        model, a, b = _sample_points(name, np.random.default_rng(11), (8,), scale=1e120)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ga, gb = model.pair(a, b)
+            for lane in range(len(a)):
+                fa, fb = model.grad_components(*a[lane].tolist(), *b[lane].tolist())
+                np.testing.assert_array_equal(fa, ga[lane])
+                np.testing.assert_array_equal(fb, gb[lane])
 
 
 class TestExtendedSystem:

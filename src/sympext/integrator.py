@@ -157,8 +157,6 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
 # source depends only on the stage kinds, d and whether a force is present;
 # substeps and rotations are closure constants bound per call.
 
-_STEP_HEADER = 4  # source lines before the first stage line
-
 
 def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
     """Source line of stage k: one exact flow over the lane variables."""
@@ -173,7 +171,7 @@ def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
             f"{x[i]} = 0.5 * (su - ru); {y[i]} = 0.5 * (sv - rv)"
             for i in range(d)
         )
-    if kind != "A" and kind != "B":
+    if kind == "-":
         return "pass"  # a rotation by a zero angle
     # A: H(q, y) kicks p and drifts x; B: H(x, p) drifts q and kicks y.
     pos, mom, kicked, drifted, clock = (q, y, p, x, "ta") if kind == "A" else (x, p, y, q, "tb")
@@ -189,6 +187,9 @@ def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
     if forced:
         parts.append(f"{clock} = {clock} + {h}")
     return "; ".join(parts)
+
+
+_STEP_HEADER = 4  # lines of the factory source before the first stage line
 
 
 @functools.cache

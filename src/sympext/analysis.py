@@ -380,6 +380,8 @@ def poincare_section(
         raise ValueError("section extraction is implemented for 1-dof models")
     if surface is None:
         surface = SectionSurface()
+    if surface.component not in (0, -1):
+        raise ValueError(f"a 1-dof model has only the surface component 0 (or -1), got {surface.component}")
     if delta is None:
         delta = min(0.05, 0.2 / max(1.0, 2.0 * omega))
 
@@ -389,8 +391,7 @@ def poincare_section(
     n_lanes = len(states)
     z = _lanes(*np.moveaxis(states, 1, 0))
     kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model))
-    comp = surface.component
-    surf = 2 + comp  # lanes of a 1-dof state: q, p, x, y
+    surf = 2  # lanes of a 1-dof state: q, p, x, y; the surface is x0
     shell_tol = shell_rtol * (1.0 + abs(shell))
 
     pts: list[list[float]] = []
@@ -429,10 +430,10 @@ def poincare_section(
             d0 = extended_vector_field(model, omega, *z0)
             d1 = extended_vector_field(model, omega, *z1)
             for j, lane in enumerate(lanes):
-                f0 = float(z0[2][j, comp]) - surface.value
-                f1 = float(z1[2][j, comp]) - surface.value
-                df0 = float(d0[2][j, comp])
-                df1 = float(d1[2][j, comp])
+                f0 = float(z0[2][j, 0]) - surface.value
+                f1 = float(z1[2][j, 0]) - surface.value
+                df0 = float(d0[2][j, 0])
+                df1 = float(d1[2][j, 0])
                 theta = _hermite_root(f0, f1, df0, df1, delta, crossing_tol)
                 point = [
                     _hermite_eval(theta, float(z0[c][j, 0]), float(z1[c][j, 0]),

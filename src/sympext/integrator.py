@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError, SympextError, TrajectoryEscapedError
 from .models import HamiltonianModel
-from .state import ExtendedState, Trajectory, embed, state_from_array
+from .state import ExtendedState, Trajectory, embed, stack, state_from_array, unstack
 
 GAMMA_VARIANTS = ("standard", "shifted")
 
@@ -228,6 +228,8 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, grad, force=
     om = np.asarray(omega, dtype=float)
     kinds, substeps, rotations = [], [], []
     for kind, frac in scheme.stages:
+        if kind not in ("A", "B", "C"):
+            raise ValueError(f"unknown stage kind {kind!r}; expected 'A', 'B' or 'C'")
         h = frac * delta
         substeps.append(h)
         if kind == "C":
@@ -256,15 +258,13 @@ def _lanes(*blocks) -> list:
 
     Python floats for one lane, one numpy column per component for a batch.
     """
-    arr = np.stack(blocks, axis=-2).astype(float, copy=False)
-    if arr.ndim == 2:
-        return arr.ravel().tolist()
-    return list(np.moveaxis(arr.reshape(arr.shape[:-2] + (-1,)), -1, 0))
+    arr = np.stack(blocks, axis=-2)
+    return unstack(arr.reshape(arr.shape[:-2] + (-1,)))
 
 
 def _blocks(z, d: int) -> np.ndarray:
     """Inverse of ``_lanes``: the lane variables as one (..., n_blocks, d) array."""
-    arr = np.stack(np.broadcast_arrays(*z), axis=-1)
+    arr = stack(z)
     return arr.reshape(arr.shape[:-1] + (-1, d))
 
 
@@ -273,17 +273,12 @@ def _lane_rows(out: np.ndarray) -> np.ndarray:
     return np.moveaxis(out.reshape(out.shape[:-2] + (-1,)), -1, 1)
 
 
-def _columns(g):
-    """The d components of a (..., d) array: Python floats for one lane."""
-    return g.tolist() if g.ndim == 1 else tuple(np.moveaxis(g, -1, 0))
-
-
 def _packed_pair(pair, d: int):
     """Gradient components served by an array pair(a, b): pack the lanes, call, unpack."""
 
     def components(*ab):
-        ga, gb = pair(np.stack(ab[:d], axis=-1), np.stack(ab[d:], axis=-1))
-        return _columns(ga), _columns(gb)
+        ga, gb = pair(stack(ab[:d]), stack(ab[d:]))
+        return unstack(ga), unstack(gb)
 
     return components
 
@@ -292,8 +287,9 @@ def _packed_force(force, d: int):
     """Force components from a plain F(position, momentum, t), broadcast to the momentum."""
 
     def components(*abt):
-        mom = np.stack(abt[d:-1], axis=-1)
-        return _columns(np.broadcast_to(force(np.stack(abt[:d], axis=-1), mom, abt[-1]), mom.shape))
+        mom = stack(abt[d:-1])
+        f = force(stack(abt[:d]), mom, abt[-1])
+        return unstack(f if np.shape(f) == mom.shape else np.broadcast_to(f, mom.shape))
 
     return components
 

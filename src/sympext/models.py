@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .state import ExtendedState, as_parts
+from .state import ExtendedState, as_parts, stack, unstack
 
 Array = np.ndarray
 
@@ -51,26 +51,13 @@ class HamiltonianModel:
     def pair(self, a, b):
         """Both (..., d) gradient blocks at once, sharing subexpressions when available."""
         if self.grad_components is not None:
-            a, b = np.asarray(a), np.asarray(b)
-            shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
-            ga, gb = self.grad_components(*_unstack(a), *_unstack(b))
-            return _stack(ga, shape), _stack(gb, shape)
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+            ga, gb = self.grad_components(*unstack(a), *unstack(b))
+            return stack(ga, batch), stack(gb, batch)
         if self.grad_pair is not None:
             return self.grad_pair(a, b)
         return self.grad_a(a, b), self.grad_b(a, b)
-
-
-def _unstack(a: Array) -> list:
-    """The d components a[..., i] of a (..., d) array."""
-    return [a[..., i] for i in range(a.shape[-1])]
-
-
-def _stack(components, shape) -> Array:
-    """The (..., d) block of the given shape from its d components (floats or columns)."""
-    out = np.empty(shape)
-    for i, c in enumerate(components):
-        out[..., i] = c
-    return out
 
 
 def product_hamiltonian() -> HamiltonianModel:

@@ -39,6 +39,22 @@ def state_from_array(arr: np.ndarray) -> ExtendedState:
     return ExtendedState(arr[..., 0, :], arr[..., 1, :], arr[..., 2, :], arr[..., 3, :])
 
 
+def unstack(a) -> list:
+    """The d components a[..., i] of a (..., d) array: Python floats for one lane, numpy columns for a batch."""
+    a = np.asarray(a, dtype=float)
+    return a.tolist() if a.ndim == 1 else list(np.moveaxis(a, -1, 0))
+
+
+def stack(components, batch=()) -> np.ndarray:
+    """Inverse of ``unstack``: the (..., d) array of d components, broadcast against ``batch``."""
+    if not batch and all(type(c) is float for c in components):
+        return np.array(components)  # one lane
+    out = np.empty(np.broadcast_shapes(batch, *map(np.shape, components)) + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
+
+
 def embed(Q0, P0) -> ExtendedState:
     """Doubled embedding (Q0, P0, Q0, P0) used to start every run."""
     Q0 = np.atleast_1d(np.asarray(Q0, dtype=float))

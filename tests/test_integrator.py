@@ -208,6 +208,12 @@ class TestStep:
         with pytest.raises(ValueError, match="order"):
             sx.step(sx.embed([0.5], [0.0]), cfg, build_scheme(2), product)
 
+    @pytest.mark.parametrize("kind", ["X", "a", "-"])
+    def test_unknown_stage_kind_rejected(self, product, kind):
+        scheme = sx.CompositionScheme(2, (("A", 0.5), (kind, 1.0), ("A", 0.5)))
+        with pytest.raises(ValueError, match="stage kind"):
+            apply_scheme(sx.embed([0.5], [0.0]), scheme, 0.1, 1.0, product)
+
     def test_stage_index_attached_to_model_errors(self):
         model = sx.schwarzschild_hamiltonian()
         Q0 = np.array([0.0, 2.5, 0.0])  # barely outside the horizon: first kick dives in

@@ -1,13 +1,14 @@
 """Alternating parent/change runs of perfbench, summarized in one JSON file.
 
-    python3 tools/bench_pairs.py --parent <rev> [--change HEAD] [--pairs 10] --out BENCH_<pr>.json
+    python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json
 
-Run from the repository root. Both revisions are exported with
-``git archive`` into a temporary directory (``TMPDIR`` chooses where), so
-each side runs only its committed files. For every workload, pair i runs
-``perfbench/run.py`` once per side with seed ``--seed-base + i``; even pairs
-run the parent first, odd pairs the change. The run length is the
-``run_seconds`` of the change's BENCHMARK.json, the same on both sides.
+Run from the repository root. The parent revision and HEAD are exported
+with ``git archive`` into a temporary directory (``TMPDIR`` chooses where),
+so each side runs only its committed files. For every workload, pair i of
+ten runs ``perfbench/run.py`` once per side with seed 100 n + 1 + i, so each
+record has its own seeds; even pairs run the parent first, odd pairs the
+change. The run length is the ``run_seconds`` of the change's
+BENCHMARK.json, the same on both sides.
 
 The file holds, per workload and end-to-end metric, each side's runs,
 median, quartiles and spread (quartile distance over the median), the
@@ -29,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("single_lane", "wide_batch", "cli_pipeline")
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -111,33 +114,33 @@ def versions() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--change", default="HEAD", help="revision under test (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed-base", type=int, default=601)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--parent", required=True, help="revision to compare HEAD against")
+    parser.add_argument("--out", required=True, type=Path, help="record to write, named BENCH_<n>.json")
     args = parser.parse_args(argv)
+    match = re.fullmatch(r"BENCH_(\d+)\.json", args.out.name)
+    if match is None:
+        parser.error(f"--out must be named BENCH_<n>.json, got {args.out.name}")
+    seed_base = 100 * int(match[1]) + 1
 
     revs = {side: subprocess.run(["git", "rev-parse", rev], check=True, capture_output=True, text=True).stdout.strip()
-            for side, rev in (("parent", args.parent), ("change", args.change))}
+            for side, rev in (("parent", args.parent), ("change", "HEAD"))}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = bench["run_seconds"]
         results = {}
-        for workload in args.workloads.split(","):
+        for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(trees[side], workload, args.seed_base + i, seconds))
-                print(f"bench_pairs: {workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    runs[side].append(run_once(trees[side], workload, seed_base + i, seconds))
+                print(f"bench_pairs: {workload} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{side} wall_s {runs[side][-1]['wall_s']:.3f}" for side in ("parent", "change")),
                     file=sys.stderr, flush=True)
             results[workload] = summarize(runs, bench["end_to_end"])
-    record = {"parent": revs["parent"], "change": revs["change"], "pairs": args.pairs, "run_seconds": seconds,
-              "seeds": [args.seed_base, args.seed_base + args.pairs - 1], "versions": versions(),
+    record = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS, "run_seconds": seconds,
+              "seeds": [seed_base, seed_base + PAIRS - 1], "versions": versions(),
               "workloads": results}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -292,9 +292,9 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
                   surface_value: float = 0.0, bound: float = 12.0, scan_points: int = 1201):
     """All y values putting (q, p, x = surface_value, y) on the energy shell.
 
-    Scans a symmetric interval for sign changes of the shell residual and
-    polishes each bracket by root finding; the grid point is inadmissible
-    when no real root exists.
+    Scans a symmetric interval for sign changes of the shell residual, in
+    one evaluation over the whole scan, and polishes each bracket by root
+    finding; the grid point is inadmissible when no real root exists.
     """
     from scipy.optimize import brentq
 
@@ -307,7 +307,9 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
         return float(extended_energy(model, omega, s)) - shell
 
     ys = np.linspace(-bound, bound, scan_points)
-    vals = np.array([residual(v) for v in ys])
+    seeds = np.ones((scan_points, 1))
+    scan = ExtendedState(q * seeds, p * seeds, surface_value * seeds, ys[:, None])
+    vals = extended_energy(model, omega, scan) - shell
     roots = []
     for i in range(len(ys) - 1):
         a, b = vals[i], vals[i + 1]
@@ -390,7 +392,7 @@ def poincare_section(
     )
     n_lanes = len(states)
     z = _lanes(*np.moveaxis(states, 1, 0))
-    kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model))
+    kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model, 1))
     surf = 2  # lanes of a 1-dof state: q, p, x, y; the surface is x0
     shell_tol = shell_rtol * (1.0 + abs(shell))
 

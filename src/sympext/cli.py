@@ -62,6 +62,11 @@ def _initial_condition(cfg: ExperimentConfig):
     if cfg.q0 or cfg.p0:
         if not (cfg.q0 and cfg.p0):
             raise ConfigError("q0 and p0 must be given together")
+        dim = get_model(cfg.system, cfg.n_modes).dim
+        if not len(cfg.q0) == len(cfg.p0) == dim:
+            raise ConfigError(
+                f"q0 and p0 need {dim} values each for system {cfg.system}, got {len(cfg.q0)} and {len(cfg.p0)}"
+            )
         return np.asarray(cfg.q0, dtype=float), np.asarray(cfg.p0, dtype=float)
     return default_initial_condition(cfg.system, cfg.n_modes, cfg.ic_preset)
 

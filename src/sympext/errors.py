@@ -5,14 +5,14 @@ class SympextError(Exception):
     """Base class for all package errors.
 
     An error raised while a trajectory is advanced carries the samples
-    stored before it as ``partial`` (a Trajectory) and the index of the
-    last of them as ``last_valid_index``; both stay None otherwise. A
+    stored before it as ``partial``, in the run's own result type: a
+    Trajectory from ``integrate``/``integrate_batch``, a PhaseSeries from
+    ``rk4_trajectory``/``reference_flow``. It stays None otherwise. A
     sample counts as stored only once it passed the escape check, so an
     escape leaves the offending sample out of ``partial``.
     """
 
     partial = None
-    last_valid_index = None
 
 
 class DomainError(SympextError):

@@ -294,8 +294,13 @@ def _packed_force(force, d: int):
     return components
 
 
-def _components(model: HamiltonianModel):
-    """The model's gradient in per-component form, through the array pair if it has none."""
+def _components(model: HamiltonianModel, d: int):
+    """The model's gradient in per-component form, through the array pair if it has none.
+
+    ``d`` is the dimension of the start the gradient will serve; it must be the model's.
+    """
+    if d != model.dim:
+        raise ValueError(f"initial condition dimension {d} does not match model dim {model.dim}")
     if model.grad_components is not None:
         return model.grad_components
     return _packed_pair(model.pair, model.dim)
@@ -311,7 +316,7 @@ def apply_scheme(
     t0: float = 0.0,
 ) -> ExtendedState:
     """One composed update with a free-signed step (used by adjointness tests)."""
-    kernel = _kernel(scheme, delta, omega, s.dim, _components(model), force)
+    kernel = _kernel(scheme, delta, omega, s.dim, _components(model, s.dim), force)
     try:
         z = kernel(_lanes(*s), t0)
     except SympextError as exc:
@@ -347,26 +352,23 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
     return idx
 
 
-def _drive(s0, scheme, delta, omega, model, force, n_steps, stride, escape_bound, t0=0.0, observers=(),
-           projection="copy1"):
-    """The trajectory loop behind ``integrate`` and ``integrate_batch``.
+def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, observers=()):
+    """The one trajectory loop behind every sampled run.
 
-    Advances ``s0`` by ``n_steps`` runs of the step kernel, stores every
-    ``stride``-th state (the final state always included) in its output
-    row, checks that row against the escape bound and calls each observer
-    as observer(t, state) there, with a view of the row. A sample counts as
-    stored once it passed the check. Any SympextError raised on the way
-    leaves with the stored samples attached as ``partial``.
+    Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` calls
+    z = kernel(z, t), stores every ``stride``-th state (the final state
+    always included) in its (..., n_blocks, d) output row, checks that row
+    against the escape bound and calls each observer as observer(t, state)
+    there, with a view of the row. A sample counts as stored once it passed
+    the check. Returns wrap(times, states); any SympextError raised on the
+    way leaves with wrap of the stored samples attached as ``partial``.
     """
-    if s0.dim != model.dim:
-        raise ValueError(f"initial condition dimension {s0.dim} does not match model dim {model.dim}")
-    kernel = _kernel(scheme, delta, omega, s0.dim, _components(model), force)
     sample_at = _sample_indices(n_steps, stride)
     times = t0 + delta * np.asarray(sample_at, dtype=float)
-    out = np.empty((len(sample_at),) + s0.q.shape[:-1] + (4, s0.dim))
+    out = np.empty((len(sample_at),) + blocks[0].shape[:-1] + (len(blocks), blocks[0].shape[-1]))
     rows = _lane_rows(out)
 
-    z = _lanes(*s0)
+    z = _lanes(*blocks)
     n_stored = 0
     try:
         for k in range(n_steps + 1):
@@ -385,10 +387,9 @@ def _drive(s0, scheme, delta, omega, model, force, n_steps, stride, escape_bound
             for obs in observers:
                 obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
     except SympextError as exc:
-        exc.partial = Trajectory(times[:n_stored].copy(), out[:n_stored].copy(), projection)
-        exc.last_valid_index = n_stored - 1
+        exc.partial = wrap(times[:n_stored].copy(), out[:n_stored].copy())
         raise
-    return Trajectory(times, out, projection)
+    return wrap(times, out)
 
 
 def integrate(
@@ -418,8 +419,10 @@ def integrate(
         scheme = build_scheme(cfg.order, variant)
     elif scheme.order != cfg.order:
         raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    return _drive(embed(Q0, P0), scheme, cfg.delta, cfg.omega, model, force, cfg.n_steps, stride,
-                  escape_bound, t0, observers, projection)
+    s0 = embed(Q0, P0)
+    kernel = _kernel(scheme, cfg.delta, cfg.omega, s0.dim, _components(model, s0.dim), force)
+    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride,
+                  lambda times, states: Trajectory(times, states, projection), escape_bound, t0, observers)
 
 
 def integrate_batch(
@@ -442,5 +445,6 @@ def integrate_batch(
     giving one binding strength per lane. Returns a Trajectory whose states
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
-    return _drive(embed(np.atleast_2d(Q0), np.atleast_2d(P0)), build_scheme(order, variant), delta, omega,
-                  model, force, n_steps, stride, escape_bound)
+    s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
+    kernel = _kernel(build_scheme(order, variant), delta, omega, s0.dim, _components(model, s0.dim), force)
+    return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)

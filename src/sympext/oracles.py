@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _blocks, _components, _lane_rows, _lanes, _packed_force, _sample_indices
+from .integrator import _blocks, _components, _drive, _lanes, _packed_force
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
 _AGM_MAX_ITER = 32
+# Escape bound of RK4 runs: the driver's check then refuses exactly the non-finite samples.
+_FINITE = np.finfo(float).max
 
 
 def arithmetic_geometric_mean(a: float, b: float) -> float:
@@ -173,15 +175,19 @@ def _rk4(grad, force, z, h, t):
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
-def _rk4_parts(model: HamiltonianModel, force):
-    return _components(model), None if force is None else _packed_force(force, model.dim)
+def _rk4_parts(model: HamiltonianModel, force, d: int):
+    return _components(model, d), None if force is None else _packed_force(force, d)
 
 
 def rk4_step(model: HamiltonianModel, Q, P, delta: float, *, force=None, t: float = 0.0):
     """One classical 4th-order Runge-Kutta step of the canonical equations."""
-    z = _rk4(*_rk4_parts(model, force), _lanes(Q, P), delta, t)
+    z = _rk4(*_rk4_parts(model, force, np.shape(Q)[-1]), _lanes(Q, P), delta, t)
     QP = _blocks(z, model.dim)
     return QP[..., 0, :], QP[..., 1, :]
+
+
+def _phase_series(times, states) -> PhaseSeries:
+    return PhaseSeries(times, states[:, ..., 0, :], states[:, ..., 1, :])
 
 
 def rk4_trajectory(
@@ -194,42 +200,16 @@ def rk4_trajectory(
     stride: int = 1,
     force=None,
 ) -> PhaseSeries:
-    """Fixed-step RK4 run sampled every ``stride`` steps (final step included)."""
+    """Fixed-step RK4 run sampled every ``stride`` steps (final step included).
+
+    A non-finite sample aborts the run with TrajectoryEscapedError, which
+    carries the samples before it as a PhaseSeries ``partial``.
+    """
     Q = np.atleast_1d(np.asarray(Q0, dtype=float))
     P = np.atleast_1d(np.asarray(P0, dtype=float))
-    grad, forces = _rk4_parts(model, force)
-    sample_at = _sample_indices(n_steps, stride)
-    times = delta * np.asarray(sample_at, dtype=float)
-    out = np.empty((len(sample_at),) + Q.shape[:-1] + (2, Q.shape[-1]))
-    rows = _lane_rows(out)
-    z = _lanes(Q, P)
-    rows[0] = z
-    nxt = 1
-    for k in range(1, n_steps + 1):
-        z = _rk4(grad, forces, z, delta, (k - 1) * delta)
-        if nxt < len(sample_at) and k == sample_at[nxt]:
-            rows[nxt] = z
-            if not np.all(np.isfinite(out[nxt])):
-                raise EvaluationError(f"non-finite state in RK4 run at step {k}")
-            nxt += 1
-    return PhaseSeries(times, out[:, ..., 0, :], out[:, ..., 1, :])
-
-
-def _rk4_sampled(model, Q0, P0, grid_times, substeps, force):
-    grad, forces = _rk4_parts(model, force)
-    out = np.empty((len(grid_times),) + Q0.shape[:-1] + (2, Q0.shape[-1]))
-    rows = _lane_rows(out)
-    z = _lanes(Q0, P0)
-    rows[0] = z
-    for i in range(1, len(grid_times)):
-        t0, t1 = float(grid_times[i - 1]), float(grid_times[i])
-        h = (t1 - t0) / substeps
-        t = t0
-        for _ in range(substeps):
-            z = _rk4(grad, forces, z, h, t)
-            t += h
-        rows[i] = z
-    return out[:, ..., 0, :], out[:, ..., 1, :]
+    grad, forces = _rk4_parts(model, force, Q.shape[-1])
+    return _drive(lambda z, t: _rk4(grad, forces, z, delta, t), (Q, P), delta, n_steps, stride,
+                  _phase_series, _FINITE)
 
 
 def reference_flow(
@@ -250,6 +230,8 @@ def reference_flow(
     the endpoint by at most ``rtol`` relative; the achieved shift and the
     certified substep count are recorded in ``meta`` (the step-doubling
     certificate). Raises ReferenceConvergenceError if certification fails.
+    Each refinement is one ``rk4_trajectory`` run with the uniform substep
+    T / (n_samples * substeps), so a non-finite sample aborts it as there.
     A ``force`` F(Q, P, t) turns the field into dP/dt = -grad_a H + F; a
     linear drag passes F = -gamma * P.
     """
@@ -258,27 +240,29 @@ def reference_flow(
     Q0 = np.atleast_1d(np.asarray(Q0, dtype=float))
     P0 = np.atleast_1d(np.asarray(P0, dtype=float))
     if T == 0:
-        return PhaseSeries(
-            np.zeros(1), Q0[None, :].copy(), P0[None, :].copy(),
-            meta={"substeps_per_sample": 0, "endpoint_shift": 0.0, "rtol": rtol},
-        )
+        start = rk4_trajectory(model, Q0, P0, 0.0, 0)
+        return PhaseSeries(start.times, start.Q, start.P,
+                           meta={"substeps_per_sample": 0, "endpoint_shift": 0.0, "rtol": rtol})
     grid = np.linspace(0.0, T, n_samples + 1)
+
+    def run(substeps: int) -> PhaseSeries:
+        n_steps = n_samples * substeps
+        return rk4_trajectory(model, Q0, P0, T / n_steps, n_steps, stride=substeps, force=force)
+
     substeps = min_substeps
-    Qs, Ps = _rk4_sampled(model, Q0, P0, grid, substeps, force)
+    coarse = run(substeps)
     for _ in range(max_refinements):
-        Qs2, Ps2 = _rk4_sampled(model, Q0, P0, grid, 2 * substeps, force)
-        scale = 1.0 + math.hypot(float(np.linalg.norm(Qs2[-1])), float(np.linalg.norm(Ps2[-1])))
+        fine = run(2 * substeps)
+        scale = 1.0 + math.hypot(float(np.linalg.norm(fine.Q[-1])), float(np.linalg.norm(fine.P[-1])))
         shift = math.hypot(
-            float(np.linalg.norm(Qs[-1] - Qs2[-1])), float(np.linalg.norm(Ps[-1] - Ps2[-1]))
+            float(np.linalg.norm(coarse.Q[-1] - fine.Q[-1])), float(np.linalg.norm(coarse.P[-1] - fine.P[-1]))
         ) / scale
-        if not np.all(np.isfinite(Qs2)) or not np.all(np.isfinite(Ps2)):
-            raise EvaluationError("non-finite state in reference run")
         if shift <= rtol:
             return PhaseSeries(
-                grid, Qs2, Ps2,
+                grid, fine.Q, fine.P,
                 meta={"substeps_per_sample": 2 * substeps, "endpoint_shift": shift, "rtol": rtol},
             )
-        Qs, Ps = Qs2, Ps2
+        coarse = fine
         substeps *= 2
     raise ReferenceConvergenceError(
         f"reference did not converge: endpoint still moving by {shift:.3e} (> rtol {rtol:.1e}) "

@@ -240,6 +240,29 @@ class TestPoincare:
         with pytest.raises(ValueError, match="1-dof"):
             sx.poincare_section(sx.nls_hamiltonian(2), [(0.0, 0.0)], 1.0, 10.0)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.8, 10.0])
+    def test_shell_scan_matches_pointwise_residual(self, omega):
+        # The scan evaluates every y at once; its roots must be those of the
+        # residual evaluated and bracketed one y at a time.
+        from scipy.optimize import brentq
+
+        from sympext.analysis import shell_momenta
+
+        model = sx.product_hamiltonian()
+        ys = np.linspace(-12.0, 12.0, 1201)
+        found = 0
+        for q, p in ((0.2, -0.6), (-2.2, 1.4), (1.0, 2.8)):
+            def residual(y):
+                s = sx.ExtendedState(*(np.full(1, v) for v in (q, p, 0.0, y)))
+                return float(sx.extended_energy(model, omega, s)) - 10.0
+
+            vals = [residual(y) for y in ys]
+            want = [brentq(residual, ys[i], ys[i + 1], xtol=1e-13)
+                    for i in range(len(ys) - 1) if vals[i] * vals[i + 1] < 0.0]
+            assert shell_momenta(model, omega, 10.0, q, p) == want
+            found += len(want)
+        assert found
+
     def test_classification_thresholds(self):
         assert REGULAR_THRESHOLD < CHAOS_THRESHOLD
         assert sx.classify_section(CHAOS_THRESHOLD + 0.1) == "chaotic"

@@ -361,6 +361,18 @@ class TestProductOracleStart:
         assert not (tmp_path / f"{command}.csv").exists()
 
 
+class TestStartDimension:
+    @pytest.mark.parametrize("command, text", [
+        ("integrate", "system = product1d\nq0 = 1,2\np0 = 0,0\n"),
+        ("nls", "system = nls\nn_modes = 3\nq0 = 3,0.01\np0 = 1,0\n"),
+        ("compare", "system = schwarzschild\nq0 = 0,20\np0 = 0.97,0\n"),
+    ], ids=["integrate", "nls", "compare"])
+    def test_wrong_dimension_start_is_config_error(self, tmp_path, command, text):
+        cfg = write_config(tmp_path, text + "delta = 0.1\nt_final = 1\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestPoincareWorkers:
     def test_pool_matches_serial(self, tmp_path):
         text = (

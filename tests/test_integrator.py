@@ -313,13 +313,14 @@ class TestIntegrate:
             sx.integrate(np.array([2.0]), np.array([2.0]), cfg, blow, escape_bound=1e6)
         partial = err.value.partial
         assert partial is not None and len(partial) >= 1
-        assert err.value.last_valid_index == len(partial) - 1
         assert np.all(np.abs(partial.states) <= 1e6)
 
     def test_dimension_mismatch_rejected(self, product):
         cfg = sx.IntegratorConfig(0.1, 1.0, 2, 1)
         with pytest.raises(ValueError, match="dimension"):
             sx.integrate(np.array([1.0, 2.0]), np.array([0.0, 0.0]), cfg, product)
+        with pytest.raises(ValueError, match="dimension"):
+            apply_scheme(sx.embed([1.0, 2.0], [0.0, 0.0]), build_scheme(2), 0.1, 1.0, product)
 
     @pytest.mark.parametrize("name, Q0, P0", [
         ("product1d", [[-3.0], [-2.0]], [[0.0], [0.0]]),
@@ -416,6 +417,26 @@ class TestSymplecticity:
                 z0 = rng.uniform(-1.0, 1.0, size=4 * d)
                 for fn in maps:
                     assert _symplectic_defect(fn, z0, d) <= 1e-6
+
+    def test_schwarzschild_flows_and_steps_are_symplectic(self):
+        from sympext.checks import _state_map, _symplectic_defect
+
+        rng = np.random.default_rng(12)
+        model = sx.schwarzschild_hamiltonian()
+        d = model.dim
+        maps = [
+            _state_map(lambda s: sx.flow_a(s, 0.01, model), d),
+            _state_map(lambda s: sx.flow_b(s, 0.01, model), d),
+            _state_map(lambda s: sx.flow_c(s, 0.01, 2.0), d),
+        ]
+        maps += [_state_map(lambda s, o=o: apply_scheme(s, build_scheme(o), 0.01, 2.0, model), d) for o in (2, 4)]
+        for _ in range(5):
+            # (t, r, phi) with r in [6, 30] for both copies; momenta near a bound orbit's.
+            pos = [rng.uniform([-1.0, 6.0, -np.pi], [1.0, 30.0, np.pi]) for _ in range(2)]
+            mom = [rng.uniform([0.9, -0.5, -5.0], [1.1, 0.5, 5.0]) for _ in range(2)]
+            z0 = np.concatenate([pos[0], mom[0], pos[1], mom[1]])
+            for fn in maps:
+                assert _symplectic_defect(fn, z0, d) <= 1e-6
 
 
 class TestBindingAndConservation:

@@ -1,6 +1,7 @@
 """Closed-form solution machinery and the certified reference engines."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,13 @@ class TestJacobiElliptic:
         sn, cn, dn = sx.jacobi_elliptic(u, m)
         assert abs(sn**2 + cn**2 - 1.0) <= 1e-12
         assert abs(dn**2 + m * sn**2 - 1.0) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(-10.0, 10.0), m=st.floats(0.0, 0.999))
+    def test_against_mpmath(self, u, m):
+        got = sx.jacobi_elliptic(u, m)
+        for kind, value in zip(("sn", "cn", "dn"), got):
+            assert abs(value - float(mpmath.ellipfun(kind, u, m=m))) <= 1e-12
 
     @pytest.mark.parametrize("m", [-0.1, 1.0, 1.5])
     def test_rejects_parameter_outside_range(self, m):
@@ -134,6 +142,23 @@ class TestExactSolution:
             sx.exact_solution(3.0, 1.0)
 
 
+def blowup_model():
+    """dQ/dt = P, dP/dt = Q^3: from Q = 2 at rest, Q reaches infinity in finite time."""
+    return sx.HamiltonianModel(
+        "blowup", 1,
+        value=lambda a, b: 0.5 * b[..., 0] ** 2 - 0.25 * a[..., 0] ** 4,
+        grad_a=lambda a, b: -a**3,
+        grad_b=lambda a, b: b,
+    )
+
+
+def assert_finite_partial(err, times):
+    partial = err.value.partial
+    assert isinstance(partial, sx.PhaseSeries) and len(partial) >= 1
+    assert np.all(np.isfinite(partial.Q)) and np.all(np.isfinite(partial.P))
+    np.testing.assert_allclose(partial.times, times[: len(partial)], rtol=1e-15, atol=0)
+
+
 class TestRk4:
     def test_zero_step_identity(self):
         m = sx.product_hamiltonian()
@@ -161,6 +186,23 @@ class TestRk4:
         series = sx.rk4_trajectory(m, np.array([-3.0]), np.array([0.0]), 0.01, 1000, stride=100)
         assert len(series) == 11
         assert series.times[-1] == pytest.approx(10.0)
+
+    def test_blowup_aborts_with_finite_partial(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(sx.TrajectoryEscapedError) as err:
+            sx.rk4_trajectory(blowup_model(), np.array([2.0]), np.array([0.0]), 0.01, 1000, stride=5)
+        assert_finite_partial(err, 0.05 * np.arange(201))
+
+    @pytest.mark.parametrize("oracle", ["rk4_step", "rk4_trajectory", "reference_flow"])
+    def test_wrong_dimension_start_rejected(self, oracle):
+        m = sx.product_hamiltonian()
+        Q0, P0 = np.array([-3.0, 1.0]), np.array([0.0, 0.0])
+        call = {
+            "rk4_step": lambda: sx.rk4_step(m, Q0, P0, 0.1),
+            "rk4_trajectory": lambda: sx.rk4_trajectory(m, Q0, P0, 0.1, 3),
+            "reference_flow": lambda: sx.reference_flow(m, Q0, P0, 1.0),
+        }[oracle]
+        with pytest.raises(ValueError, match="dimension"):
+            call()
 
 
 class TestReferenceFlow:
@@ -197,6 +239,11 @@ class TestReferenceFlow:
                 m, np.array([-3.0]), np.array([0.0]), 10.0,
                 n_samples=4, max_refinements=1, rtol=1e-15,
             )
+
+    def test_blowup_aborts_with_finite_partial(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(sx.TrajectoryEscapedError) as err:
+            sx.reference_flow(blowup_model(), np.array([2.0]), np.array([0.0]), 10.0, n_samples=10)
+        assert_finite_partial(err, np.linspace(0.0, 10.0, 11))
 
 
 class TestReferenceDissipative:

@@ -17,7 +17,7 @@ from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
 _AGM_MAX_ITER = 32
-# Escape bound of RK4 runs: the driver's check then refuses exactly the non-finite samples.
+# Escape bound of RK4 runs: the escape check in _drive then refuses exactly the non-finite samples.
 _FINITE = np.finfo(float).max
 
 

@@ -13,7 +13,6 @@ from .analysis import (
     ErgodicAverages,
     PoincareSection,
     PolarErrorSeries,
-    SectionSurface,
     chaos_statistic,
     classify_section,
     energy_drift,

@@ -215,23 +215,6 @@ def rotation_averaged_matrix(S) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SectionSurface:
-    """Codimension-one surface: one component of the second position copy.
-
-    ``component`` indexes within the x block; ``direction`` +1 records
-    upward crossings, -1 downward, 0 both.
-    """
-
-    component: int = 0
-    value: float = 0.0
-    direction: int = 1
-
-    def describe(self) -> str:
-        arrow = {1: "+", -1: "-", 0: "+-"}[self.direction]
-        return f"x[{self.component}] = {self.value} ({arrow})"
-
-
-@dataclass(frozen=True)
 class PoincareSection:
     """Section crossings of the doubled system on a fixed energy shell.
 
@@ -242,7 +225,6 @@ class PoincareSection:
 
     shell: float
     omega: float
-    surface: SectionSurface
     points: np.ndarray
     y_values: np.ndarray
     crossing_index: np.ndarray
@@ -288,17 +270,16 @@ def _hermite_root(f0, f1, d0, d1, h, tol):
     return 0.5 * (lo + hi)
 
 
-def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float, p: float,
-                  surface_value: float = 0.0, bound: float = 12.0, scan_points: int = 1201):
-    """All y values putting (q, p, x = surface_value, y) on the energy shell.
+def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float, p: float):
+    """All y in [-12, 12] putting (q, p, x = 0, y) on the energy shell.
 
-    Scans a symmetric interval for sign changes of the shell residual, in
-    one evaluation over the whole scan, and polishes each bracket by root
+    Scans 1201 points for sign changes of the shell residual, in one
+    evaluation over the whole scan, and polishes each bracket by root
     finding; the grid point is inadmissible when no real root exists.
     """
     from scipy.optimize import brentq
 
-    x = np.full(1, surface_value)
+    x = np.zeros(1)
     qa = np.full(1, q)
     pa = np.full(1, p)
 
@@ -306,9 +287,9 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
         s = ExtendedState(qa, pa, x, np.full(1, yv))
         return float(extended_energy(model, omega, s)) - shell
 
-    ys = np.linspace(-bound, bound, scan_points)
-    seeds = np.ones((scan_points, 1))
-    scan = ExtendedState(q * seeds, p * seeds, surface_value * seeds, ys[:, None])
+    ys = np.linspace(-12.0, 12.0, 1201)
+    seeds = np.ones((len(ys), 1))
+    scan = ExtendedState(q * seeds, p * seeds, np.zeros_like(seeds), ys[:, None])
     vals = extended_energy(model, omega, scan) - shell
     roots = []
     for i in range(len(ys) - 1):
@@ -327,31 +308,31 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
     return unique
 
 
-def section_initial_conditions(model, ic_grid, omega, shell, surface_value=0.0, max_lanes=None):
-    """Complete (q, p) grid points to on-shell extended states.
+def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
+    """Complete (q, p) grid points to on-shell extended states at x = 0.
 
-    Returns (states (B, 4, 1) array, grid index per lane, skip records).
+    Returns (states (B, 4, 1) array, skip records).
     """
     states = []
-    origin = []
     skipped = []
-    for gi, (q, p) in enumerate(ic_grid):
-        roots = shell_momenta(model, omega, shell, q, p, surface_value)
+    for q, p in ic_grid:
+        roots = shell_momenta(model, omega, shell, q, p)
         if not roots:
             skipped.append((float(q), float(p), "no real momentum root on the shell"))
             continue
-        for y in roots:
-            states.append([[q], [p], [surface_value], [y]])
-            origin.append(gi)
+        states.extend([[q], [p], [0.0], [y]] for y in roots)
     if not states:
         raise AdmissibilityError("no admissible initial conditions on shell")
     states = np.asarray(states, dtype=float)
-    origin = np.asarray(origin, dtype=int)
     if max_lanes is not None and len(states) > max_lanes:
-        keep = np.linspace(0, len(states) - 1, max_lanes).round().astype(int)
-        states = states[keep]
-        origin = origin[keep]
-    return states, origin, skipped
+        states = states[np.linspace(0, len(states) - 1, max_lanes).round().astype(int)]
+    return states, skipped
+
+
+# Refinement stops once |x0| <= _CROSSING_TOL; a refined state whose shell
+# residual exceeds _SHELL_RTOL * (1 + |shell|) is dropped.
+_CROSSING_TOL = 1e-10
+_SHELL_RTOL = 1e-3
 
 
 def poincare_section(
@@ -359,42 +340,31 @@ def poincare_section(
     ic_grid,
     omega: float,
     shell: float,
-    surface: SectionSurface | None = None,
     *,
     order: int = 4,
-    delta: float | None = None,
     max_crossings: int = 500,
     max_steps: int = 400_000,
-    crossing_tol: float = 1e-10,
-    shell_rtol: float = 1e-3,
     max_lanes: int | None = None,
 ) -> PoincareSection:
-    """Section points of the doubled system for a grid of (q, p) seeds.
+    """Upward crossings of x0 = 0 of the doubled system for a grid of (q, p) seeds.
 
-    Every admissible seed is placed on the shell by solving for y at
-    x = surface value (all real roots are used), integrated with the
-    composed scheme, and each directed sign change of the surface
-    coordinate is refined on the step-local Hermite interpolant until the
-    surface residual is below ``crossing_tol``. Refined states whose shell
-    residual exceeds the tolerance are dropped and counted.
+    Every admissible seed is placed on the shell by solving for y at x = 0
+    (all real roots are used) and integrated with the composed scheme at
+    step min(0.05, 0.2 / max(1, 2 omega)). Each upward sign change of x0 is
+    refined on the step-local Hermite interpolant until |x0| is below
+    ``_CROSSING_TOL``. Refined states off the shell by more than
+    ``_SHELL_RTOL`` are dropped and counted.
     """
     if model.dim != 1:
         raise ValueError("section extraction is implemented for 1-dof models")
-    if surface is None:
-        surface = SectionSurface()
-    if surface.component not in (0, -1):
-        raise ValueError(f"a 1-dof model has only the surface component 0 (or -1), got {surface.component}")
-    if delta is None:
-        delta = min(0.05, 0.2 / max(1.0, 2.0 * omega))
+    delta = min(0.05, 0.2 / max(1.0, 2.0 * omega))
 
-    states, _, skipped = section_initial_conditions(
-        model, ic_grid, omega, shell, surface.value, max_lanes=max_lanes
-    )
+    states, skipped = section_initial_conditions(model, ic_grid, omega, shell, max_lanes=max_lanes)
     n_lanes = len(states)
     z = _lanes(*np.moveaxis(states, 1, 0))
     kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model, 1))
-    surf = 2  # lanes of a 1-dof state: q, p, x, y; the surface is x0
-    shell_tol = shell_rtol * (1.0 + abs(shell))
+    surf = 2  # lanes of a 1-dof state: q, p, x, y; the surface is x0 = 0
+    shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
     pts: list[list[float]] = []
     y_vals: list[float] = []
@@ -405,26 +375,18 @@ def poincare_section(
 
     # Seeds sit exactly on the surface: each contributes its start point once.
     for lane in range(n_lanes):
-        if abs(z[surf][lane] - surface.value) <= crossing_tol:
+        if abs(z[surf][lane]) <= _CROSSING_TOL:
             pts.append([float(z[0][lane]), float(z[1][lane])])
             y_vals.append(float(z[3][lane]))
             cross_no.append(0)
             lane_of.append(lane)
             counts[lane] += 1
 
-    g_prev = z[surf] - surface.value
     active = counts < max_crossings
 
     for k in range(1, max_steps + 1):
         prev, z = z, kernel(z, 0.0)
-        g_new = z[surf] - surface.value
-        if surface.direction > 0:
-            crossed = (g_prev < 0.0) & (g_new >= 0.0)
-        elif surface.direction < 0:
-            crossed = (g_prev > 0.0) & (g_new <= 0.0)
-        else:
-            crossed = (g_prev * g_new < 0.0) | ((g_prev != 0.0) & (g_new == 0.0))
-        crossed &= active
+        crossed = (prev[surf] < 0.0) & (z[surf] >= 0.0) & active
         if np.any(crossed):
             lanes = np.nonzero(crossed)[0]
             z0 = tuple(c[lanes, None] for c in prev)
@@ -432,11 +394,11 @@ def poincare_section(
             d0 = extended_vector_field(model, omega, *z0)
             d1 = extended_vector_field(model, omega, *z1)
             for j, lane in enumerate(lanes):
-                f0 = float(z0[2][j, 0]) - surface.value
-                f1 = float(z1[2][j, 0]) - surface.value
+                f0 = float(z0[2][j, 0])
+                f1 = float(z1[2][j, 0])
                 df0 = float(d0[2][j, 0])
                 df1 = float(d1[2][j, 0])
-                theta = _hermite_root(f0, f1, df0, df1, delta, crossing_tol)
+                theta = _hermite_root(f0, f1, df0, df1, delta, _CROSSING_TOL)
                 point = [
                     _hermite_eval(theta, float(z0[c][j, 0]), float(z1[c][j, 0]),
                                   float(d0[c][j, 0]), float(d1[c][j, 0]), delta)
@@ -454,7 +416,6 @@ def poincare_section(
             active = counts < max_crossings
             if not np.any(active):
                 break
-        g_prev = g_new
 
     points = np.asarray(pts, dtype=float).reshape(-1, 2)
     y_arr = np.asarray(y_vals, dtype=float)
@@ -466,7 +427,6 @@ def poincare_section(
     return PoincareSection(
         shell=shell,
         omega=omega,
-        surface=surface,
         points=points[order],
         y_values=y_arr[order],
         crossing_index=cross_arr[order],

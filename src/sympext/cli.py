@@ -153,8 +153,7 @@ def cmd_integrate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def _scan_point(args):
-    cfg_dict, key, value = args
-    cfg = ExperimentConfig(**cfg_dict)
+    cfg, key, value = args
     cfg = replace(cfg, **{key: value})
     try:
         traj = _run_trajectory(cfg)
@@ -169,6 +168,8 @@ def _scan_point(args):
 
 
 def _map_ordered(fn, items, workers: int):
+    # A process pool starts all of its workers at the first submit: no more than there are items.
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -182,8 +183,7 @@ def cmd_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         raise ConfigError("set exactly one scan list: omegas or deltas")
     _require_oracle_start(*_initial_condition(cfg))
     key, values = ("omega", cfg.omegas) if cfg.omegas else ("delta", cfg.deltas)
-    cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    results = _map_ordered(_scan_point, [(cfg_dict, key, v) for v in values], workers)
+    results = _map_ordered(_scan_point, [(cfg, key, v) for v in values], workers)
 
     survivors = [(v, a, ph) for v, a, ph, status in results if status == "ok"]
     notes = [f"scan key: {key}"]
@@ -204,77 +204,44 @@ def cmd_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def _section_chunk(args):
-    cfg_dict, chunk = args
-    cfg = ExperimentConfig(**cfg_dict)
+    """Section of one grid chunk, or None when no seed in the chunk is admissible."""
+    cfg, chunk = args
     model = get_model(cfg.system, cfg.n_modes)
-    return poincare_section(
-        model, chunk, cfg.omega, cfg.shell,
-        order=cfg.order,
-        max_crossings=cfg.max_crossings,
-        max_lanes=None,
-    )
+    try:
+        return poincare_section(model, chunk, cfg.omega, cfg.shell, order=cfg.order, max_crossings=cfg.max_crossings)
+    except AdmissibilityError:
+        return None
 
 
 def _merge_sections(sections):
-    first = sections[0]
-    points = [first.points]
-    y_values = [first.y_values]
-    crossing = [first.crossing_index]
-    lane_ids = [first.trajectory_id]
-    skipped = list(first.skipped)
-    dropped = first.dropped_crossings
-    offset = first.n_trajectories
-    for sec in sections[1:]:
-        points.append(sec.points)
-        y_values.append(sec.y_values)
-        crossing.append(sec.crossing_index)
-        lane_ids.append(sec.trajectory_id + offset)
-        skipped.extend(sec.skipped)
-        dropped += sec.dropped_crossings
-        offset += sec.n_trajectories
+    """One section from the sections of consecutive grid chunks, trajectory ids offset in order."""
+    offsets = np.cumsum([0] + [sec.n_trajectories for sec in sections])
     return PoincareSection(
-        shell=first.shell,
-        omega=first.omega,
-        surface=first.surface,
-        points=np.concatenate(points, axis=0),
-        y_values=np.concatenate(y_values),
-        crossing_index=np.concatenate(crossing),
-        trajectory_id=np.concatenate(lane_ids),
-        n_trajectories=offset,
-        skipped=tuple(skipped),
-        dropped_crossings=dropped,
+        shell=sections[0].shell,
+        omega=sections[0].omega,
+        points=np.concatenate([sec.points for sec in sections]),
+        y_values=np.concatenate([sec.y_values for sec in sections]),
+        crossing_index=np.concatenate([sec.crossing_index for sec in sections]),
+        trajectory_id=np.concatenate([sec.trajectory_id + off for sec, off in zip(sections, offsets)]),
+        n_trajectories=int(offsets[-1]),
+        skipped=tuple(rec for sec in sections for rec in sec.skipped),
+        dropped_crossings=sum(sec.dropped_crossings for sec in sections),
     )
-
-
-def _section_chunk_or_none(args):
-    try:
-        return _section_chunk(args)
-    except AdmissibilityError:
-        return None
 
 
 def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     qlo, qhi, nq = cfg.grid_q
     plo, phi_, np_ = cfg.grid_p
     grid = [(qv, pv) for qv in np.linspace(qlo, qhi, int(nq)) for pv in np.linspace(plo, phi_, int(np_))]
-    cfg_dict = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    if workers > 1:
-        # Contiguous grid chunks across the pool; the ordered merge makes
-        # the output identical to a serial run (trajectories never
-        # interact, so chunking cannot change any lane).
-        bounds = np.linspace(0, len(grid), workers + 1).round().astype(int)
-        chunks = [grid[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-        parts = [
-            sec for sec in _map_ordered(
-                _section_chunk_or_none, [(cfg_dict, c) for c in chunks], workers
-            )
-            if sec is not None
-        ]
-        if not parts:
-            raise AdmissibilityError("no admissible initial conditions on shell")
-        section = _merge_sections(parts)
-    else:
-        section = _section_chunk((cfg_dict, grid))
+    # One contiguous grid chunk per worker; the ordered merge makes the
+    # output independent of the worker count (trajectories never interact,
+    # so chunking cannot change any lane).
+    bounds = np.linspace(0, len(grid), max(workers, 1) + 1).round().astype(int)
+    chunks = [(cfg, grid[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    parts = [sec for sec in _map_ordered(_section_chunk, chunks, workers) if sec is not None]
+    if not parts:
+        raise AdmissibilityError("no admissible initial conditions on shell")
+    section = _merge_sections(parts)
     try:
         stat = chaos_statistic(section)
         stat_line = f"chaos statistic: {stat:.6f}"
@@ -289,7 +256,7 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     _write_csv(out_dir / f"{base}_skipped.csv", ["q", "p", "reason"],
                ([q, p, reason] for q, p, reason in section.skipped))
     _write_meta(out_dir / f"{base}.meta", cfg, [
-        f"surface: {section.surface.describe()}",
+        "surface: x[0] = 0.0 (+)",
         f"trajectories: {section.n_trajectories}",
         f"dropped crossings: {section.dropped_crossings}",
         stat_line,

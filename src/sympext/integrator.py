@@ -114,15 +114,16 @@ def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
 def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force, t: float) -> ExtendedState:
     """One exact flow, run as a one-stage kernel; A and B refuse non-finite gradients."""
 
-    def checked_pair(a, b):
-        ga, gb = model.pair(a, b)
+    components = None if model is None else _components(model, s.dim)
+
+    def grad(*ab):
+        ga, gb = components(*ab)
         for name, g in (("grad_a", ga), ("grad_b", gb)):
-            if not np.all(np.isfinite(g)):
-                bad = int(np.argmin(np.isfinite(g)))
-                raise EvaluationError(f"flow_{kind.lower()}: non-finite gradient component {name}[{bad}]")
+            for i, gi in enumerate(g):
+                if not np.all(np.isfinite(gi)):
+                    raise EvaluationError(f"flow_{kind.lower()}: non-finite gradient component {name}[{i}]")
         return ga, gb
 
-    grad = None if model is None else _packed_pair(checked_pair, s.dim)
     kernel = _kernel(CompositionScheme(0, ((kind, 1.0),)), delta, omega, s.dim, grad, force)
     return state_from_array(_blocks(kernel(_lanes(*s), t), s.dim))
 

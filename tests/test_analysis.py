@@ -223,19 +223,6 @@ class TestPoincare:
         assert len(section.skipped) == 1
         assert section.skipped[0][2].startswith("no real momentum root")
 
-    def test_last_component_is_the_default_surface(self, small_section):
-        model = sx.product_hamiltonian()
-        grid = [(q, p) for q in np.linspace(-1.2, 1.2, 3) for p in np.linspace(-1.5, 1.5, 3)]
-        section = sx.poincare_section(
-            model, grid, 2.0, 10.0, sx.SectionSurface(component=-1), max_crossings=40, max_steps=40_000
-        )
-        np.testing.assert_array_equal(section.points, small_section.points)
-        np.testing.assert_array_equal(section.y_values, small_section.y_values)
-
-    def test_surface_component_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="surface component"):
-            sx.poincare_section(sx.product_hamiltonian(), [(0.0, 0.0)], 1.0, 10.0, sx.SectionSurface(component=1))
-
     def test_requires_one_dof_model(self):
         with pytest.raises(ValueError, match="1-dof"):
             sx.poincare_section(sx.nls_hamiltonian(2), [(0.0, 0.0)], 1.0, 10.0)

@@ -191,6 +191,29 @@ class TestTableCommand:
             tmp_path / "pool" / "table.csv"
         ).read_bytes()
 
+    def test_pool_never_larger_than_the_scan(self, tmp_path, monkeypatch):
+        # A process pool starts all of its workers at once; the stand-in
+        # records the pool size and maps in this process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("sympext.cli.ProcessPoolExecutor", SerialPool)
+        cfg = write_config(tmp_path, "system = product1d\nomegas = 10,20\ndelta = 0.02\nt_final = 1\norder = 2\n")
+        assert main(["table", "--config", cfg, "--out", str(tmp_path), "--workers", "64"]) == 0
+        assert sizes == [2]
+
 
 class TestPoincareCommand:
     def test_section_files(self, tmp_path):
@@ -206,12 +229,13 @@ class TestPoincareCommand:
         meta = (tmp_path / "section.meta").read_text()
         assert "chaos statistic" in meta
 
-    def test_unreachable_shell_numeric_abort(self, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unreachable_shell_numeric_abort(self, tmp_path, workers):
         cfg = write_config(
             tmp_path,
             "system = product1d\nomega = 1\nshell = 0.2\ngrid_q = -1:1:2\ngrid_p = -1:1:2\n",
         )
-        assert main(["poincare", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path), "--workers", workers]) == 3
 
 
 class TestNlsCommand:

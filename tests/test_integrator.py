@@ -321,6 +321,9 @@ class TestIntegrate:
             sx.integrate(np.array([1.0, 2.0]), np.array([0.0, 0.0]), cfg, product)
         with pytest.raises(ValueError, match="dimension"):
             apply_scheme(sx.embed([1.0, 2.0], [0.0, 0.0]), build_scheme(2), 0.1, 1.0, product)
+        for flow in (sx.flow_a, sx.flow_b):
+            with pytest.raises(ValueError, match="dimension"):
+                flow(sx.embed([1.0, 2.0], [0.0, 0.0]), 0.1, product)
 
     @pytest.mark.parametrize("name, Q0, P0", [
         ("product1d", [[-3.0], [-2.0]], [[0.0], [0.0]]),

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import sympext as sx
+from sympext import analysis
 from sympext.integrator import apply_scheme, build_scheme
 
 # Per model: (factory, Q0, P0, delta, omega); steps and offsets stay short.
@@ -33,6 +34,7 @@ MODELS = {
 N_STEPS = 30
 STRIDE = 7
 T0 = 0.5
+SECTION_RTOLS = (1e-5, 1e-6)
 
 
 def _digest(*arrays) -> str:
@@ -176,6 +178,8 @@ GOLDEN = {
     "rk4_batch/schwarzschild": "1e85ba9b788c4b4d0ea412144e205ab8",
     "vector_field/schwarzschild": "8042f01d320d285bdc9d2718d20ca8ab",
     "poincare_section": "3ab059ba0b858af4180adde51edfcc23",
+    "poincare_section/rtol=1e-05": "d7e76551a3c19f66ab247bd22a123a51",
+    "poincare_section/rtol=1e-06": "2ff7e84587a0e4667aa6c250392beb48",
 }
 
 
@@ -185,19 +189,48 @@ def test_golden_run(case, name):
     assert _run(case, name) == GOLDEN[f"{case}/{name}"]
 
 
+SECTION_GRID = [(0.5, 0.5), (-1.0, 1.0), (1.5, -0.5)]
+
+
 def _section_digest() -> str:
-    section = sx.poincare_section(
-        sx.product_hamiltonian(), [(0.5, 0.5), (-1.0, 1.0), (1.5, -0.5)], 2.0, 10.0,
-        max_crossings=4, max_steps=20_000,
-    )
+    section = sx.poincare_section(sx.product_hamiltonian(), SECTION_GRID, 2.0, 10.0, max_crossings=4, max_steps=20_000)
     return _digest(section.points, section.y_values, section.crossing_index, section.trajectory_id)
+
+
+def _section_accounting_digest(shell_rtol: float) -> str:
+    """A section with a tightened shell tolerance, so that crossings are dropped.
+
+    At 1e-5 some lanes fill their crossings mid-run while others run to
+    ``max_steps``; at 1e-6 most crossings are dropped. The digest covers the
+    dropped count and the number of trajectories as well as the points.
+    """
+    saved = analysis._SHELL_RTOL
+    analysis._SHELL_RTOL = shell_rtol
+    try:
+        section = sx.poincare_section(sx.product_hamiltonian(), SECTION_GRID, 2.0, 10.0,
+                                      max_crossings=40, max_steps=20_000)
+    finally:
+        analysis._SHELL_RTOL = saved
+    return _digest(section.points, section.y_values, section.crossing_index, section.trajectory_id,
+                   [section.dropped_crossings, section.n_trajectories])
 
 
 def test_golden_poincare_section():
     assert _section_digest() == GOLDEN["poincare_section"]
 
 
+@pytest.mark.parametrize("shell_rtol", SECTION_RTOLS)
+def test_golden_section_accounting(shell_rtol):
+    assert _section_accounting_digest(shell_rtol) == GOLDEN[f"poincare_section/rtol={shell_rtol:g}"]
+
+
+def _golden_value(key: str) -> str:
+    case, _, name = key.partition("/")
+    if case != "poincare_section":
+        return _run(case, name)
+    return _section_accounting_digest(float(name.partition("=")[2])) if name else _section_digest()
+
+
 if __name__ == "__main__":
     for key in GOLDEN:
-        case, _, name = key.partition("/")
-        print(f'    "{key}": "{_section_digest() if key == "poincare_section" else _run(case, name)}",')
+        print(f'    "{key}": "{_golden_value(key)}",')

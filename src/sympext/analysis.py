@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, PhaseUndefinedError
-from .integrator import _components, _kernel, _lanes, build_scheme
+from .errors import AdmissibilityError, PhaseUndefinedError, SympextError
+from .integrator import _FINITE, _components, _drive, _kernel, build_scheme
 from .models import HamiltonianModel, extended_energy, extended_vector_field
-from .state import ExtendedState, Trajectory
+from .state import ExtendedState, Trajectory, state_from_array
 
 # Calibrated on the product-system sections: the no-restraint run must
 # classify chaotic and the strong-restraint run regular (see the
@@ -252,21 +252,24 @@ def _hermite_eval(theta, z0, z1, d0, d1, h):
 
 
 def _hermite_root(f0, f1, d0, d1, h, tol):
-    """Fraction in [0, 1] where the Hermite cubic vanishes, |value| <= tol.
+    """Fractions in [0, 1] where the Hermite cubics vanish, |value| <= tol.
 
-    Bisection with a sign-change bracket; f0 and f1 have opposite signs.
+    Elementwise bisection with sign-change brackets; f0 and f1 have
+    opposite signs. An element's bracket freezes at the first midpoint
+    within ``tol``, which is then its returned midpoint.
     """
-    lo, hi = 0.0, 1.0
-    flo = f0
+    f0, f1, d0, d1 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (f0, f1, d0, d1)))
+    lo, hi, flo = np.zeros(f0.shape), np.ones(f0.shape), f0
+    searching = np.ones(f0.shape, dtype=bool)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         fm = _hermite_eval(mid, f0, f1, d0, d1, h)
-        if abs(fm) <= tol:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        searching &= ~(np.abs(fm) <= tol)
+        if not searching.any():
+            break
+        left = (fm < 0) == (flo < 0)
+        lo, flo = np.where(searching & left, mid, lo), np.where(searching & left, fm, flo)
+        hi = np.where(searching & ~left, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -333,6 +336,8 @@ def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
 # residual exceeds _SHELL_RTOL * (1 + |shell|) is dropped.
 _CROSSING_TOL = 1e-10
 _SHELL_RTOL = 1e-3
+# Steps per driver call; a section stops at the end of the chunk in which its last lane fills.
+_SECTION_CHUNK = 256
 
 
 def poincare_section(
@@ -349,86 +354,63 @@ def poincare_section(
     """Upward crossings of x0 = 0 of the doubled system for a grid of (q, p) seeds.
 
     Every admissible seed is placed on the shell by solving for y at x = 0
-    (all real roots are used) and integrated with the composed scheme at
-    step min(0.05, 0.2 / max(1, 2 omega)). Each upward sign change of x0 is
+    (all real roots are used); it is its lane's crossing 0. The lanes are
+    integrated with the composed scheme at step
+    min(0.05, 0.2 / max(1, 2 omega)). Each upward sign change of x0 is
     refined on the step-local Hermite interpolant until |x0| is below
     ``_CROSSING_TOL``. Refined states off the shell by more than
-    ``_SHELL_RTOL`` are dropped and counted.
+    ``_SHELL_RTOL`` are dropped and counted. A lane takes its crossings in
+    time order until it holds ``max_crossings``; a lane that turns
+    non-finite aborts the section with TrajectoryEscapedError.
     """
     if model.dim != 1:
         raise ValueError("section extraction is implemented for 1-dof models")
+    if max_crossings < 1:
+        raise ValueError(f"max_crossings must be >= 1, got {max_crossings}")
     delta = min(0.05, 0.2 / max(1.0, 2.0 * omega))
 
     states, skipped = section_initial_conditions(model, ic_grid, omega, shell, max_lanes=max_lanes)
     n_lanes = len(states)
-    z = _lanes(*np.moveaxis(states, 1, 0))
     kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model, 1))
-    surf = 2  # lanes of a 1-dof state: q, p, x, y; the surface is x0 = 0
     shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
-    pts: list[list[float]] = []
-    y_vals: list[float] = []
-    cross_no: list[int] = []
-    lane_of: list[int] = []
-    counts = np.zeros(n_lanes, dtype=int)
+    found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]
+    counts = np.ones(n_lanes, dtype=int)
     dropped = 0
+    done = 0
+    while done < max_steps and np.any(counts < max_crossings):
+        n = min(_SECTION_CHUNK, max_steps - done)
+        try:
+            run = _drive(kernel, np.moveaxis(states, 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
+        except SympextError as exc:
+            raise type(exc)(f"section steps {done}-{done + n}: {exc}") from None
+        done += n
+        states = run[-1]
+        x = run[:, :, 2, 0]
+        steps, lanes = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0) & (counts < max_crossings))
+        z0, z1 = run[steps, lanes], run[steps + 1, lanes]
+        d0, d1 = (np.stack(extended_vector_field(model, omega, *state_from_array(z)), axis=1) for z in (z0, z1))
+        theta = _hermite_root(z0[:, 2, 0], z1[:, 2, 0], d0[:, 2, 0], d1[:, 2, 0], delta, _CROSSING_TOL)
+        points = _hermite_eval(theta[:, None, None], z0, z1, d0, d1, delta)
+        on_shell = ~(np.abs(extended_energy(model, omega, points) - shell) > shell_tol)
+        kept = np.zeros(x[1:].shape, dtype=int)
+        kept[steps, lanes] = on_shell
+        # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
+        held = (counts + np.cumsum(kept, axis=0) - kept)[steps, lanes]
+        met = held < max_crossings
+        dropped += int(np.sum(met & ~on_shell))
+        found.append((points[met & on_shell], held[met & on_shell], lanes[met & on_shell]))
+        counts = np.minimum(counts + kept.sum(axis=0), max_crossings)
 
-    # Seeds sit exactly on the surface: each contributes its start point once.
-    for lane in range(n_lanes):
-        if abs(z[surf][lane]) <= _CROSSING_TOL:
-            pts.append([float(z[0][lane]), float(z[1][lane])])
-            y_vals.append(float(z[3][lane]))
-            cross_no.append(0)
-            lane_of.append(lane)
-            counts[lane] += 1
-
-    active = counts < max_crossings
-
-    for k in range(1, max_steps + 1):
-        prev, z = z, kernel(z, 0.0)
-        crossed = (prev[surf] < 0.0) & (z[surf] >= 0.0) & active
-        if np.any(crossed):
-            lanes = np.nonzero(crossed)[0]
-            z0 = tuple(c[lanes, None] for c in prev)
-            z1 = tuple(c[lanes, None] for c in z)
-            d0 = extended_vector_field(model, omega, *z0)
-            d1 = extended_vector_field(model, omega, *z1)
-            for j, lane in enumerate(lanes):
-                f0 = float(z0[2][j, 0])
-                f1 = float(z1[2][j, 0])
-                df0 = float(d0[2][j, 0])
-                df1 = float(d1[2][j, 0])
-                theta = _hermite_root(f0, f1, df0, df1, delta, _CROSSING_TOL)
-                point = [
-                    _hermite_eval(theta, float(z0[c][j, 0]), float(z1[c][j, 0]),
-                                  float(d0[c][j, 0]), float(d1[c][j, 0]), delta)
-                    for c in range(4)
-                ]
-                state = ExtendedState(*(np.array([v]) for v in point))
-                if abs(float(extended_energy(model, omega, state)) - shell) > shell_tol:
-                    dropped += 1
-                    continue
-                pts.append([point[0], point[1]])
-                y_vals.append(point[3])
-                cross_no.append(int(counts[lane]))
-                lane_of.append(int(lane))
-                counts[lane] += 1
-            active = counts < max_crossings
-            if not np.any(active):
-                break
-
-    points = np.asarray(pts, dtype=float).reshape(-1, 2)
-    y_arr = np.asarray(y_vals, dtype=float)
-    cross_arr = np.asarray(cross_no, dtype=int)
-    lane_arr = np.asarray(lane_of, dtype=int)
+    points, cross_arr, lane_arr = (np.concatenate(parts) for parts in zip(*found))
     # Canonical row order: by trajectory then crossing index, independent
     # of how lanes interleaved in time (or were chunked across workers).
     order = np.lexsort((cross_arr, lane_arr))
     return PoincareSection(
         shell=shell,
         omega=omega,
-        points=points[order],
-        y_values=y_arr[order],
+        points=points[order, :2, 0],
+        y_values=points[order, 3, 0],
         crossing_index=cross_arr[order],
         trajectory_id=lane_arr[order],
         n_trajectories=n_lanes,

@@ -424,7 +424,10 @@ def main(argv=None) -> int:
         if args.command == "check":
             numbers = None
             if args.only:
-                numbers = [int(part) for part in args.only.split(",")]
+                try:
+                    numbers = [int(part) for part in args.only.split(",")]
+                except ValueError:
+                    raise ConfigError(f"criteria must be comma-separated numbers, got {args.only!r}") from None
                 unknown = set(numbers) - set(checks.CRITERIA)
                 if unknown:
                     raise ConfigError(f"unknown criteria {sorted(unknown)}")

@@ -20,6 +20,8 @@ from .models import HamiltonianModel
 from .state import ExtendedState, Trajectory, embed, stack, state_from_array, unstack
 
 GAMMA_VARIANTS = ("standard", "shifted")
+# Escape bound of RK4 runs and sections: the escape check in _drive then refuses exactly the non-finite samples.
+_FINITE = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -345,6 +347,8 @@ def step(
 
 
 def _sample_indices(n_steps: int, stride: int) -> list[int]:
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     idx = list(range(0, n_steps + 1, stride))
@@ -446,6 +450,9 @@ def integrate_batch(
     giving one binding strength per lane. Returns a Trajectory whose states
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
+    om = np.asarray(omega, dtype=float)
+    for extreme in (om.min(), om.max()):  # IntegratorConfig's checks, for every lane's binding
+        IntegratorConfig(delta, float(extreme))
     s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
     kernel = _kernel(build_scheme(order, variant), delta, omega, s0.dim, _components(model, s0.dim), force)
     return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)

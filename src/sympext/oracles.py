@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _blocks, _components, _drive, _lanes, _packed_force
+from .integrator import _FINITE, _blocks, _components, _drive, _lanes, _packed_force
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
 _AGM_MAX_ITER = 32
-# Escape bound of RK4 runs: the escape check in _drive then refuses exactly the non-finite samples.
-_FINITE = np.finfo(float).max
 
 
 def arithmetic_geometric_mean(a: float, b: float) -> float:
@@ -243,6 +241,8 @@ def reference_flow(
         start = rk4_trajectory(model, Q0, P0, 0.0, 0)
         return PhaseSeries(start.times, start.Q, start.P,
                            meta={"substeps_per_sample": 0, "endpoint_shift": 0.0, "rtol": rtol})
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1 for a positive horizon, got {n_samples}")
     grid = np.linspace(0.0, T, n_samples + 1)
 
     def run(substeps: int) -> PhaseSeries:

@@ -223,6 +223,22 @@ class TestPoincare:
         assert len(section.skipped) == 1
         assert section.skipped[0][2].startswith("no real momentum root")
 
+    def test_no_crossings_rejected(self):
+        with pytest.raises(ValueError, match="max_crossings"):
+            sx.poincare_section(sx.product_hamiltonian(), [(0.5, 0.5)], 2.0, 10.0, max_crossings=0)
+
+    def test_non_finite_lane_aborts(self):
+        # dP/dt = Q^3 in both copies: every lane reaches infinity in finite time.
+        blowup = sx.HamiltonianModel(
+            "blowup", 1,
+            value=lambda a, b: 0.5 * b[..., 0] ** 2 - 0.25 * a[..., 0] ** 4,
+            grad_a=lambda a, b: -a**3,
+            grad_b=lambda a, b: b,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(sx.TrajectoryEscapedError) as err:
+            sx.poincare_section(blowup, [(1.0, 0.0)], 0.0, 1.0, max_crossings=5, max_steps=2_000)
+        assert err.value.partial is None
+
     def test_requires_one_dof_model(self):
         with pytest.raises(ValueError, match="1-dof"):
             sx.poincare_section(sx.nls_hamiltonian(2), [(0.0, 0.0)], 1.0, 10.0)

@@ -333,6 +333,10 @@ class TestCheckCommand:
     def test_unknown_criterion_rejected(self, tmp_path):
         assert main(["check", "--only", "99", "--out", str(tmp_path)]) == 2
 
+    def test_non_numeric_criterion_rejected(self, tmp_path, capsys):
+        assert main(["check", "--only", "3,x", "--out", str(tmp_path)]) == 2
+        assert "config error: criteria must be comma-separated numbers" in capsys.readouterr().err
+
 
 class TestCompareSchwarzschild:
     def test_benchmarked_curves(self, tmp_path):

@@ -315,6 +315,17 @@ class TestIntegrate:
         assert partial is not None and len(partial) >= 1
         assert np.all(np.abs(partial.states) <= 1e6)
 
+    @pytest.mark.parametrize("delta, omega, n_steps, message", [
+        (0.0, 1.0, 3, "delta must be a positive finite real"),
+        (0.1, np.array([1.0, -1.0]), 3, "omega must be a nonnegative finite real"),
+        (0.1, np.array([1.0, np.nan]), 3, "omega must be a nonnegative finite real"),
+        (0.1, 1.0, -1, "n_steps must be >= 0"),
+    ], ids=["zero_delta", "negative_lane_omega", "nan_lane_omega", "negative_steps"])
+    def test_batch_rejects_what_the_config_rejects(self, product, delta, omega, n_steps, message):
+        Q0, P0 = np.array([[-3.0], [-2.0]]), np.zeros((2, 1))
+        with pytest.raises(ValueError, match=message):
+            sx.integrate_batch(Q0, P0, delta, omega, 2, n_steps, product)
+
     def test_dimension_mismatch_rejected(self, product):
         cfg = sx.IntegratorConfig(0.1, 1.0, 2, 1)
         with pytest.raises(ValueError, match="dimension"):

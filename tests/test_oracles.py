@@ -192,6 +192,10 @@ class TestRk4:
             sx.rk4_trajectory(blowup_model(), np.array([2.0]), np.array([0.0]), 0.01, 1000, stride=5)
         assert_finite_partial(err, 0.05 * np.arange(201))
 
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 0"):
+            sx.rk4_trajectory(sx.product_hamiltonian(), np.array([-3.0]), np.array([0.0]), 0.1, -1)
+
     @pytest.mark.parametrize("oracle", ["rk4_step", "rk4_trajectory", "reference_flow"])
     def test_wrong_dimension_start_rejected(self, oracle):
         m = sx.product_hamiltonian()
@@ -211,6 +215,10 @@ class TestReferenceFlow:
         ref = sx.reference_flow(m, np.array([-3.0]), np.array([0.0]), 0.0)
         assert len(ref) == 1
         np.testing.assert_array_equal(ref.Q[0], [-3.0])
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            sx.reference_flow(sx.product_hamiltonian(), np.array([-3.0]), np.array([0.0]), 1.0, n_samples=0)
 
     def test_certificate_recorded(self):
         m = sx.product_hamiltonian()

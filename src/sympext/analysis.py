@@ -267,8 +267,8 @@ def _hermite_root(f0, f1, d0, d1, h, tol):
         searching &= ~(np.abs(fm) <= tol)
         if not searching.any():
             break
-        left = (fm < 0) == (flo < 0)
-        lo, flo = np.where(searching & left, mid, lo), np.where(searching & left, fm, flo)
+        left = searching & ((fm < 0) == (flo < 0))
+        lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
         hi = np.where(searching & ~left, mid, hi)
     return 0.5 * (lo + hi)
 
@@ -398,8 +398,9 @@ def poincare_section(
         # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
         held = (counts + np.cumsum(kept, axis=0) - kept)[steps, lanes]
         met = held < max_crossings
+        take = met & on_shell
         dropped += int(np.sum(met & ~on_shell))
-        found.append((points[met & on_shell], held[met & on_shell], lanes[met & on_shell]))
+        found.append((points[take], held[take], lanes[take]))
         counts = np.minimum(counts + kept.sum(axis=0), max_crossings)
 
     points, cross_arr, lane_arr = (np.concatenate(parts) for parts in zip(*found))

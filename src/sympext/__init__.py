@@ -16,7 +16,6 @@ from .analysis import (
     chaos_statistic,
     classify_section,
     energy_drift,
-    energy_series,
     ergodic_averages,
     fit_loglog_slope,
     poincare_section,
@@ -47,7 +46,6 @@ from .integrator import (
     integrate,
     integrate_batch,
     linear_drag,
-    step,
     triple_jump_gamma,
 )
 from .models import (

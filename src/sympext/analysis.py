@@ -100,13 +100,14 @@ def scaled_running_max_errors(numeric, reference, scalings) -> np.ndarray:
     return np.maximum.accumulate(scaled, axis=0)
 
 
-def schwarzschild_scalings(a0: float = 20.0, e0: float = 0.0, mass: float = 10.0) -> np.ndarray:
+def schwarzschild_scalings() -> np.ndarray:
     """Coordinate scalings (t, r, phi) for the geodesic error curves.
 
-    t by the Keplerian period 2 pi sqrt(a0^3 / mass), r by the apoapsis
-    a0 (1 + e0), phi by a full turn; the energy stays unscaled.
+    t by the Keplerian period 2 pi sqrt(a0^3 / mass) of the orbit size
+    a0 = 20 about mass 10, r by a0, phi by a full turn; the energy stays
+    unscaled.
     """
-    return np.array([2.0 * math.pi * math.sqrt(a0**3 / mass), a0 * (1.0 + e0), 2.0 * math.pi])
+    return np.array([2.0 * math.pi * math.sqrt(20.0**3 / 10.0), 20.0, 2.0 * math.pi])
 
 
 @dataclass(frozen=True)
@@ -118,26 +119,21 @@ class EnergyDrift:
     extended: np.ndarray
 
 
-def energy_series(model: HamiltonianModel, Q, P) -> np.ndarray:
-    """H(Q, P) evaluated along a series of original-space points."""
-    return model.value(np.asarray(Q, dtype=float), np.asarray(P, dtype=float))
-
-
 def energy_drift(traj: Trajectory, model: HamiltonianModel, omega: float) -> EnergyDrift:
     """Drift series of a trajectory: projected original energy plus doubled energy."""
     Q, P = traj.projected()
-    h = energy_series(model, Q, P)
+    h = model.value(Q, P)
     hbar = extended_energy(model, omega, traj.states)
     return EnergyDrift(traj.times, h - h[0], hbar - hbar[0])
 
 
-def drift_is_bounded(drift, slope_budget: float = 0.5, growth_budget: float = 1.5) -> bool:
+def drift_is_bounded(drift) -> bool:
     """Heuristic secularity test for an energy-drift series.
 
-    Accepts when the fitted linear trend accounts for at most
-    ``slope_budget`` of the total drift range and the late-half extreme
-    exceeds the early-half extreme by at most ``growth_budget``. A clean
-    linear drift fails both; a bounded oscillation passes.
+    Accepts when the fitted linear trend accounts for at most half of the
+    total drift range and the late-half extreme exceeds the early-half
+    extreme by at most a factor 1.5. A clean linear drift fails both; a
+    bounded oscillation passes.
     """
     drift = np.asarray(drift, dtype=float)
     n = len(drift)
@@ -151,7 +147,7 @@ def drift_is_bounded(drift, slope_budget: float = 0.5, growth_budget: float = 1.
     late = float(np.max(np.abs(drift[n // 2 :])))
     if early == 0.0:
         return False
-    return trend_fraction <= slope_budget and late <= growth_budget * early
+    return trend_fraction <= 0.5 and late <= 1.5 * early
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,9 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
 def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
     """Complete (q, p) grid points to on-shell extended states at x = 0.
 
-    Returns (states (B, 4, 1) array, skip records).
+    Returns (states (B, 4, 1) array, skip records). Without an admissible
+    point it raises AdmissibilityError, whose ``partial`` is the section of
+    no trajectories holding the skip records.
     """
     states = []
     skipped = []
@@ -325,7 +323,10 @@ def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
             continue
         states.extend([[q], [p], [0.0], [y]] for y in roots)
     if not states:
-        raise AdmissibilityError("no admissible initial conditions on shell")
+        exc = AdmissibilityError("no admissible initial conditions on shell")
+        exc.partial = PoincareSection(shell, omega, np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int),
+                                      np.empty(0, dtype=int), 0, tuple(skipped), 0)
+        raise exc
     states = np.asarray(states, dtype=float)
     if max_lanes is not None and len(states) > max_lanes:
         states = states[np.linspace(0, len(states) - 1, max_lanes).round().astype(int)]
@@ -427,7 +428,7 @@ def _nn_mean_distance(pts: np.ndarray) -> float:
     return float(np.mean(dists[:, 1]))
 
 
-def chaos_statistic(section: PoincareSection, min_points: int = 64) -> float:
+def chaos_statistic(section: PoincareSection) -> float:
     """Median nearest-neighbor dimension estimate over the section trajectories.
 
     Thinning a point set to half doubles nearest-neighbor spacing on a
@@ -436,12 +437,13 @@ def chaos_statistic(section: PoincareSection, min_points: int = 64) -> float:
     invariant curves, near 2 in a chaotic sea. The estimate runs on the
     (q, p, y) embedding of the section manifold, where invariant curves do
     not fold onto themselves, and each trajectory's value is clipped
-    before taking the median across trajectories.
+    before taking the median across trajectories; trajectories with fewer
+    than 64 distinct points are left out.
     """
     estimates = []
     for lane in range(section.n_trajectories):
         pts = np.unique(section.embedded_points_of(lane), axis=0)
-        if len(pts) < min_points:
+        if len(pts) < 64:
             continue
         # Compare the half against the quarter thinning: the coarser pair
         # is insensitive to the tiny transverse placement noise of the

@@ -18,7 +18,6 @@ from .analysis import (
     classify_section,
     drift_is_bounded,
     energy_drift,
-    energy_series,
     fit_loglog_slope,
     poincare_section,
     polar_errors,
@@ -205,7 +204,7 @@ def _longtime_product_runs():
     traj = integrate(np.array([-3.0]), np.array([0.0]), cfg, model)
     drift = energy_drift(traj, model, omega)
     rk = oracles.rk4_trajectory(model, np.array([-3.0]), np.array([0.0]), delta, cfg.n_steps)
-    h_rk = energy_series(model, rk.Q, rk.P)
+    h_rk = model.value(rk.Q, rk.P)
     return drift, h_rk - h_rk[0]
 
 
@@ -238,26 +237,31 @@ def check_binding_scaling() -> CheckResult:
     )
 
 
-def first_return_time(Q0: float = -3.0, step: float = 1e-4) -> float:
+# Steps per rk4_trajectory call of first_return_time.
+_RETURN_CHUNK = 4096
+
+
+def first_return_time(Q0: float = -3.0) -> float:
     """Event-detected first return to (|Q0|, 0), an oracle for the half period.
 
-    Fine fixed-step RK4 run of the product system; the momentum rises from
-    zero, the position sweeps over to -Q0, and the downward P = 0 crossing
-    there is refined on the cubic Hermite interpolant of P(t).
+    Fine fixed-step RK4 run (step 1e-4) of the product system, in chunks
+    of ``_RETURN_CHUNK`` steps; the momentum rises from zero, the position
+    sweeps over to -Q0, and the downward P = 0 crossing there is refined
+    on the cubic Hermite interpolant of P(t). Step k ends at time k * 1e-4.
     """
     model = product_hamiltonian()
-    Q = np.array([float(Q0)])
-    P = np.array([0.0])
-    t = 0.0
-    for k in range(10_000_000):
-        Qn, Pn = oracles.rk4_step(model, Q, P, step)
-        t += step
-        if k > 0 and Qn[0] > 0 and float(P[0]) > 0 >= float(Pn[0]):
-            pdot0 = -float(model.pair(Q, P)[0][0])
-            pdot1 = -float(model.pair(Qn, Pn)[0][0])
-            theta = float(analysis._hermite_root(float(P[0]), float(Pn[0]), pdot0, pdot1, step, 1e-15))
-            return t - step + theta * step
-        Q, P = Qn, Pn
+    delta = 1e-4
+    Q, P = np.array([float(Q0)]), np.array([0.0])
+    for done in range(0, 10_000_000, _RETURN_CHUNK):
+        run = oracles.rk4_trajectory(model, Q, P, delta, _RETURN_CHUNK)
+        q, p = run.Q[:, 0], run.P[:, 0]
+        ends = np.nonzero((q[1:] > 0) & (p[:-1] > 0) & (p[1:] <= 0))[0]
+        if ends.size:
+            k = int(ends[0])
+            pdot = -model.pair(run.Q[k : k + 2], run.P[k : k + 2])[0][:, 0]
+            theta = float(analysis._hermite_root(p[k], p[k + 1], pdot[0], pdot[1], delta, 1e-15))
+            return (done + k) * delta + theta * delta
+        Q, P = run.Q[-1], run.P[-1]
     raise RuntimeError("no return detected")
 
 
@@ -443,8 +447,8 @@ def check_schwarzschild() -> CheckResult:
     Q2, P2 = traj2.projected()
     idx = np.searchsorted(traj2.times, ref.times)
     scalings = np.concatenate([analysis.schwarzschild_scalings(), [1.0]])
-    numeric = np.column_stack([Q2[idx], energy_series(model, Q2[idx], P2[idx])])
-    bench = np.column_stack([ref.Q, energy_series(model, ref.Q, ref.P)])
+    numeric = np.column_stack([Q2[idx], model.value(Q2[idx], P2[idx])])
+    bench = np.column_stack([ref.Q, model.value(ref.Q, ref.P)])
     curves = analysis.scaled_running_max_errors(numeric, bench, scalings)
     finite = bool(np.all(np.isfinite(curves)))
     ok = cyc_ok and flat and finite

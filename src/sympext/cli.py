@@ -19,7 +19,6 @@ from .analysis import (
     chaos_statistic,
     classify_section,
     energy_drift,
-    energy_series,
     ergodic_averages,
     fit_loglog_slope,
     poincare_section,
@@ -89,7 +88,6 @@ def _run_trajectory(cfg: ExperimentConfig) -> Trajectory:
         cfg.integrator_config(),
         model,
         force=force,
-        variant=cfg.gamma_variant,
         projection=cfg.projection,
         stride=cfg.stride,
         escape_bound=cfg.escape_bound,
@@ -103,14 +101,14 @@ def _energy_columns(traj: Trajectory, model, omega):
     is refused, so the reasons for the NaN samples are returned as well.
     """
     try:
-        return energy_series(model, *traj.projected()), extended_energy(model, omega, traj.states), []
+        return model.value(*traj.projected()), extended_energy(model, omega, traj.states), []
     except DomainError:
         pass
     Q, P = traj.projected()
     h, hbar, outside = np.full(len(traj), np.nan), np.full(len(traj), np.nan), []
     for i, t in enumerate(traj.times):
         try:
-            h[i], hbar[i] = energy_series(model, Q[i], P[i]), extended_energy(model, omega, traj.states[i])
+            h[i], hbar[i] = model.value(Q[i], P[i]), extended_energy(model, omega, traj.states[i])
         except DomainError as exc:
             outside.append(f"outside the domain at t = {_fmt(t)}: {exc}")
     return h, hbar, outside
@@ -204,13 +202,13 @@ def cmd_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def _section_chunk(args):
-    """Section of one grid chunk, or None when no seed in the chunk is admissible."""
+    """Section of one grid chunk; without an admissible seed, its section of no trajectories."""
     cfg, chunk = args
     model = get_model(cfg.system, cfg.n_modes)
     try:
         return poincare_section(model, chunk, cfg.omega, cfg.shell, order=cfg.order, max_crossings=cfg.max_crossings)
-    except AdmissibilityError:
-        return None
+    except AdmissibilityError as exc:
+        return exc.partial
 
 
 def _merge_sections(sections):
@@ -238,10 +236,9 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     # so chunking cannot change any lane).
     bounds = np.linspace(0, len(grid), max(workers, 1) + 1).round().astype(int)
     chunks = [(cfg, grid[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
-    parts = [sec for sec in _map_ordered(_section_chunk, chunks, workers) if sec is not None]
-    if not parts:
+    section = _merge_sections(_map_ordered(_section_chunk, chunks, workers))
+    if not section.n_trajectories:
         raise AdmissibilityError("no admissible initial conditions on shell")
-    section = _merge_sections(parts)
     try:
         stat = chaos_statistic(section)
         stat_line = f"chaos statistic: {stat:.6f}"
@@ -274,7 +271,7 @@ def cmd_nls(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     Q, P = traj.projected()
     obs = nls_masses(Q, P)
     averages = ergodic_averages(traj.times, obs.masses)
-    h = energy_series(model, Q, P)
+    h = model.value(Q, P)
     hbar = extended_energy(model, cfg.omega, traj.states)
     d = model.dim
     header = ["t", "H", "Hbar", "I"]
@@ -334,10 +331,10 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         ref = oracles.reference_flow(model, Q0, P0, n_steps * cfg.delta, n_samples=len(traj.times) - 1, force=force)
         scal = np.concatenate([schwarzschild_scalings(), [1.0]]) if cfg.system == "schwarzschild" \
             else np.ones(model.dim + 1)
-        num = np.column_stack([Q, energy_series(model, Q, P)])
-        refm = np.column_stack([ref.Q, energy_series(model, ref.Q, ref.P)])
+        num = np.column_stack([Q, model.value(Q, P)])
+        refm = np.column_stack([ref.Q, model.value(ref.Q, ref.P)])
         curves_new = scaled_running_max_errors(num, refm, scal)
-        num_rk = np.column_stack([rk.Q, energy_series(model, rk.Q, rk.P)])
+        num_rk = np.column_stack([rk.Q, model.value(rk.Q, rk.P)])
         curves_rk = scaled_running_max_errors(num_rk, refm, scal)
         header = ["t"]
         header += [f"err_c{i}" for i in range(curves_new.shape[1])]
@@ -352,7 +349,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         ]
 
     drift = energy_drift(traj, model, cfg.omega)
-    h_rk = energy_series(model, rk.Q, rk.P)
+    h_rk = model.value(rk.Q, rk.P)
     verdict += [
         f"max_extended_energy_drift = {_fmt(np.max(np.abs(drift.extended)))}",
         f"max_original_energy_drift = {_fmt(np.max(np.abs(drift.original)))}",

@@ -7,10 +7,12 @@ class SympextError(Exception):
     An error raised while a trajectory is advanced carries the samples
     stored before it as ``partial``, in the run's own result type: a
     Trajectory from ``integrate``/``integrate_batch``, a PhaseSeries from
-    ``rk4_trajectory``/``reference_flow``. It stays None otherwise, and
-    for ``poincare_section``, which returns no trajectory. A sample counts
-    as stored only once it passed the escape check, so an escape leaves the
-    offending sample out of ``partial``.
+    ``rk4_trajectory``/``reference_flow``. A sample counts as stored only
+    once it passed the escape check, so an escape leaves the offending
+    sample out of ``partial``. A section grid without an admissible seed
+    raises AdmissibilityError whose ``partial`` is the PoincareSection of
+    no trajectories, holding the skip records. ``partial`` stays None
+    otherwise, and for the other errors of ``poincare_section``.
     """
 
     partial = None

@@ -19,7 +19,6 @@ from .errors import EvaluationError, SympextError, TrajectoryEscapedError
 from .models import HamiltonianModel
 from .state import ExtendedState, Trajectory, embed, stack, state_from_array, unstack
 
-GAMMA_VARIANTS = ("standard", "shifted")
 # Escape bound of RK4 runs and sections: the escape check in _drive then refuses exactly the non-finite samples.
 _FINITE = np.finfo(float).max
 
@@ -58,7 +57,6 @@ class CompositionScheme:
 
     order: int
     stages: tuple[tuple[str, float], ...]
-    variant: str = "standard"
 
     def __len__(self) -> int:
         return len(self.stages)
@@ -69,26 +67,18 @@ def linear_drag(gamma: float) -> Callable:
     return lambda pos, mom, t: -gamma * mom
 
 
-def triple_jump_gamma(order: int, variant: str = "standard") -> float:
+def triple_jump_gamma(order: int) -> float:
     """Coefficient of the palindromic three-fold composition raising order by two.
 
-    The "standard" value 1/(2 - 2^(1/(order-1))) cancels the leading error
-    term of the symmetric order-(l-2) method; "shifted" uses the exponent
-    1/(order+1) instead and is kept only for comparison (it does not raise
-    the order, as the empirical convergence tests show).
+    The value 1/(2 - 2^(1/(order-1))) cancels the leading error term of the
+    symmetric order-(l-2) method (Yoshida 1990).
     """
     if order < 4 or order % 2:
         raise ValueError(f"order must be an even integer >= 4, got {order}")
-    if variant == "standard":
-        exponent = 1.0 / (order - 1)
-    elif variant == "shifted":
-        exponent = 1.0 / (order + 1)
-    else:
-        raise ValueError(f"unknown gamma variant {variant!r}; expected one of {GAMMA_VARIANTS}")
-    return 1.0 / (2.0 - 2.0**exponent)
+    return 1.0 / (2.0 - 2.0 ** (1.0 / (order - 1)))
 
 
-def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
+def build_scheme(order: int) -> CompositionScheme:
     """Composition scheme for an even-order step.
 
     Order 2 is the five-stage palindrome (A:1/2, B:1/2, C:1, B:1/2, A:1/2);
@@ -100,7 +90,7 @@ def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
         raise ValueError(f"order must be an even integer >= 2, got {order}")
     stages = [("A", 0.5), ("B", 0.5), ("C", 1.0), ("B", 0.5), ("A", 0.5)]
     for target in range(4, order + 1, 2):
-        g = triple_jump_gamma(target, variant)
+        g = triple_jump_gamma(target)
         expanded: list[tuple[str, float]] = []
         for scale in (g, 1.0 - 2.0 * g, g):
             for kind, frac in stages:
@@ -110,7 +100,7 @@ def build_scheme(order: int, variant: str = "standard") -> CompositionScheme:
                 else:
                     expanded.append((kind, f))
         stages = expanded
-    return CompositionScheme(order=order, stages=tuple(stages), variant=variant)
+    return CompositionScheme(order=order, stages=tuple(stages))
 
 
 def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force, t: float) -> ExtendedState:
@@ -318,7 +308,11 @@ def apply_scheme(
     force=None,
     t0: float = 0.0,
 ) -> ExtendedState:
-    """One composed update with a free-signed step (used by adjointness tests)."""
+    """One update of ``scheme`` at step ``delta``, of either sign. Deterministic in its inputs.
+
+    ``force`` adds F(position, momentum, time) to the momentum kicks; with
+    F identically zero the step is bitwise the unforced one.
+    """
     kernel = _kernel(scheme, delta, omega, s.dim, _components(model, s.dim), force)
     try:
         z = kernel(_lanes(*s), t0)
@@ -326,24 +320,6 @@ def apply_scheme(
         k = _failed_stage(exc, kernel)
         raise type(exc)(f"stage {k} ({scheme.stages[k][0]}): {exc}") from exc
     return state_from_array(_blocks(z, s.dim))
-
-
-def step(
-    s: ExtendedState,
-    cfg: IntegratorConfig,
-    scheme: CompositionScheme,
-    model: HamiltonianModel,
-    t0: float = 0.0,
-    force=None,
-) -> ExtendedState:
-    """One update of the composed integrator. Deterministic in its inputs.
-
-    ``force`` adds F(position, momentum, time) to the momentum kicks; with
-    F identically zero the step is bitwise the unforced one.
-    """
-    if scheme.order != cfg.order:
-        raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
-    return apply_scheme(s, scheme, cfg.delta, cfg.omega, model, force, t0)
 
 
 def _sample_indices(n_steps: int, stride: int) -> list[int]:
@@ -405,8 +381,6 @@ def integrate(
     observers: Sequence[Callable] = (),
     *,
     force=None,
-    scheme: CompositionScheme | None = None,
-    variant: str = "standard",
     projection: str = "copy1",
     stride: int = 1,
     escape_bound: float = 1e12,
@@ -420,12 +394,8 @@ def integrate(
     turns non-finite; this and any other SympextError raised mid-run
     carries the partial trajectory of the samples before it.
     """
-    if scheme is None:
-        scheme = build_scheme(cfg.order, variant)
-    elif scheme.order != cfg.order:
-        raise ValueError(f"scheme of order {scheme.order} does not match config order {cfg.order}")
     s0 = embed(Q0, P0)
-    kernel = _kernel(scheme, cfg.delta, cfg.omega, s0.dim, _components(model, s0.dim), force)
+    kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.dim, _components(model, s0.dim), force)
     return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride,
                   lambda times, states: Trajectory(times, states, projection), escape_bound, t0, observers)
 
@@ -440,7 +410,6 @@ def integrate_batch(
     model: HamiltonianModel,
     *,
     force=None,
-    variant: str = "standard",
     stride: int = 1,
     escape_bound: float = 1e12,
 ) -> Trajectory:
@@ -454,5 +423,5 @@ def integrate_batch(
     for extreme in (om.min(), om.max()):  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
     s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
-    kernel = _kernel(build_scheme(order, variant), delta, omega, s0.dim, _components(model, s0.dim), force)
+    kernel = _kernel(build_scheme(order), delta, omega, s0.dim, _components(model, s0.dim), force)
     return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)

@@ -219,16 +219,16 @@ def reference_flow(
     n_samples: int = 100,
     rtol: float = 1e-11,
     max_refinements: int = 22,
-    min_substeps: int = 4,
     force=None,
 ) -> PhaseSeries:
     """High-accuracy benchmark trajectory on a uniform sample grid.
 
-    Fixed-step RK4 with the substep count doubled until halving it moves
-    the endpoint by at most ``rtol`` relative; the achieved shift and the
-    certified substep count are recorded in ``meta`` (the step-doubling
-    certificate). Raises ReferenceConvergenceError if certification fails.
-    Each refinement is one ``rk4_trajectory`` run with the uniform substep
+    Fixed-step RK4 with the substep count, 4 per sample at first, doubled
+    until halving it moves the endpoint by at most ``rtol`` relative; the
+    achieved shift and the certified substep count are recorded in
+    ``meta`` (the step-doubling certificate). Raises
+    ReferenceConvergenceError if certification fails. Each refinement is
+    one ``rk4_trajectory`` run with the uniform substep
     T / (n_samples * substeps), so a non-finite sample aborts it as there.
     A ``force`` F(Q, P, t) turns the field into dP/dt = -grad_a H + F; a
     linear drag passes F = -gamma * P.
@@ -249,7 +249,7 @@ def reference_flow(
         n_steps = n_samples * substeps
         return rk4_trajectory(model, Q0, P0, T / n_steps, n_steps, stride=substeps, force=force)
 
-    substeps = min_substeps
+    substeps = 4
     coarse = run(substeps)
     for _ in range(max_refinements):
         fine = run(2 * substeps)

@@ -1,11 +1,14 @@
 """Configuration parsing and the command line harness."""
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympext as sx
-from sympext.cli import main
+from sympext.cli import _merge_sections, _section_chunk, main
 from sympext.config import ExperimentConfig, apply_overrides, config_presets, dump_config, parse_config_text
 
 
@@ -148,6 +151,18 @@ class TestIntegrateCommand:
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["integrate", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, text", [
+        ("integrate", "t_final = inf\n"),
+        ("integrate", "t_final = 1\ngamma = nan\n"),
+        ("integrate", "t_final = 1\nescape_bound = nan\n"),
+        ("poincare", "shell = nan\ngrid_q = -1:1:2\ngrid_p = -1:1:2\n"),
+        ("table", "q0 = -3\np0 = 0\nt_final = 1\ndeltas = 0.01,nan\n"),
+    ], ids=["t_final", "gamma", "escape_bound", "shell", "deltas"])
+    def test_non_finite_real_is_config_error(self, tmp_path, command, text):
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_bad_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "turbo = yes\n")
@@ -413,6 +428,40 @@ class TestPoincareWorkers:
         assert (tmp_path / "serial" / "section.csv").read_bytes() == (
             tmp_path / "pool" / "section.csv"
         ).read_bytes()
+
+
+    def test_skipped_rows_independent_of_workers(self, tmp_path):
+        # Two of the three chunks at three workers hold only inadmissible seeds (q = 2 and q = 5).
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nomega = 10\nshell = 10\n"
+            "grid_q = -1:5:3\ngrid_p = -0.5:0.5:2\nmax_crossings = 20\n",
+        )
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / workers
+            assert main(["poincare", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
+            outputs.append([(out / f"section{suffix}").read_bytes() for suffix in (".csv", "_skipped.csv", ".meta")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0][1].splitlines()) == 5
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        grid=st.lists(st.tuples(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 2.0)), st.sampled_from((-0.5, 0.0, 0.5, 1.0))),
+                      min_size=1, max_size=4),
+        cuts=st.sets(st.integers(1, 3)),
+    )
+    def test_merged_chunks_equal_one_section(self, grid, cuts):
+        cfg = sx.ExperimentConfig(omega=10.0, shell=10.0, max_crossings=8)
+        bounds = [0, *sorted(c for c in cuts if c < len(grid)), len(grid)]
+        whole = _section_chunk((cfg, grid))
+        merged = _merge_sections([_section_chunk((cfg, grid[a:b])) for a, b in zip(bounds, bounds[1:])])
+        for f in fields(whole):
+            a, b = getattr(whole, f.name), getattr(merged, f.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            else:
+                assert a == b, f.name
 
 
 class TestScanFailures:

@@ -118,9 +118,6 @@ class TestTripleJump:
     def test_gamma_order6(self):
         assert triple_jump_gamma(6) == pytest.approx(1.1746717580893635, abs=1e-15)
 
-    def test_shifted_variant_differs(self):
-        assert triple_jump_gamma(4, "shifted") == pytest.approx(1.0 / (2.0 - 2.0**0.2), abs=1e-15)
-
     @settings(max_examples=20, deadline=None)
     @given(order=st.integers(2, 7).map(lambda n: 2 * n))
     def test_middle_substep_runs_backward(self, order):
@@ -194,7 +191,7 @@ class TestStep:
         gaps = []
         for delta in deltas:
             s = sx.embed([-3.0], [0.0])
-            out = sx.step(s, sx.IntegratorConfig(delta, omega, 2, 1), build_scheme(2), product)
+            out = apply_scheme(s, build_scheme(2), delta, omega, product)
             ref = sx.reference_flow(
                 wrapper, np.array([-3.0, -3.0]), np.array([0.0, 0.0]), delta, n_samples=1
             )
@@ -202,11 +199,6 @@ class TestStep:
             gaps.append(float(np.max(np.abs(np.concatenate(out) - ref_state))))
             assert gaps[-1] < 200.0 * delta**3
         assert sx.fit_loglog_slope(deltas, gaps) == pytest.approx(3.0, abs=0.3)
-
-    def test_scheme_order_mismatch_rejected(self, product):
-        cfg = sx.IntegratorConfig(0.1, 1.0, 4, 1)
-        with pytest.raises(ValueError, match="order"):
-            sx.step(sx.embed([0.5], [0.0]), cfg, build_scheme(2), product)
 
     @pytest.mark.parametrize("kind", ["X", "a", "-"])
     def test_unknown_stage_kind_rejected(self, product, kind):
@@ -218,28 +210,21 @@ class TestStep:
         model = sx.schwarzschild_hamiltonian()
         Q0 = np.array([0.0, 2.5, 0.0])  # barely outside the horizon: first kick dives in
         P0 = np.array([5.0, -40.0, 0.0])
-        cfg = sx.IntegratorConfig(0.5, 1.0, 2, 1)
         with pytest.raises(sx.DomainError, match=r"stage \d"):
-            sx.step(sx.embed(Q0, P0), cfg, build_scheme(2), model)
+            apply_scheme(sx.embed(Q0, P0), build_scheme(2), 0.5, 1.0, model)
 
 
 class TestDissipative:
     def test_zero_force_bitwise_equal(self, product):
         rng = np.random.default_rng(3)
         s = random_state(rng)
-        cfg = sx.IntegratorConfig(0.05, 20.0, 4, 1)
         scheme = build_scheme(4)
-        plain = sx.step(s, cfg, scheme, product)
+        plain = apply_scheme(s, scheme, 0.05, 20.0, product)
         # A force may also return a scalar that broadcasts against the momentum.
         for zero in (lambda pos, mom, t: np.zeros_like(mom), lambda pos, mom, t: 0.0):
-            forced = sx.step(s, cfg, scheme, product, force=zero)
+            forced = apply_scheme(s, scheme, 0.05, 20.0, product, force=zero)
             for a, b in zip(plain, forced):
                 np.testing.assert_array_equal(a, b)
-
-    def test_dissipative_needs_matching_order(self, product):
-        cfg = sx.IntegratorConfig(0.05, 20.0, 4, 1)
-        with pytest.raises(ValueError):
-            sx.step(sx.embed([0.1], [0.2]), cfg, build_scheme(2), product, force=sx.linear_drag(0.1))
 
     def test_richardson_order_at_least_two(self, product):
         # Forced product run against the certified dissipative reference.
@@ -282,7 +267,7 @@ class TestIntegrate:
         s = sx.embed([-3.0], [0.0])
         scheme = build_scheme(4)
         for _ in range(cfg.n_steps):
-            s = sx.step(s, cfg, scheme, product)
+            s = apply_scheme(s, scheme, cfg.delta, cfg.omega, product)
         np.testing.assert_array_equal(traj.states[-1], s.to_array())
 
     def test_stride_keeps_final_state(self, product):
@@ -349,25 +334,6 @@ class TestIntegrate:
             np.array(Q0), np.array(P0), 0.02, np.array([15.0, 15.0]), 4, 50, model,
         )
         np.testing.assert_array_equal(batch.states[:, 0], single.states)
-
-    def test_shifted_variant_order4_is_not_fourth_order(self, product):
-        # The arbitration behind the default composition coefficient: the
-        # alternative exponent never cancels the third-order error term.
-        errs = {}
-        for variant in ("standard", "shifted"):
-            per_delta = []
-            for delta in (0.02, 0.01, 0.005):
-                cfg = sx.IntegratorConfig(delta, 20.0, 4, round(10.0 / delta))
-                traj = sx.integrate(
-                    np.array([-3.0]), np.array([0.0]), cfg, product, variant=variant
-                )
-                Q, P = traj.projected()
-                qe, pe = sx.exact_series(-3.0, traj.times)
-                per_delta.append(float(np.max(np.hypot(Q[:, 0] - qe, P[:, 0] - pe))))
-            errs[variant] = sx.fit_loglog_slope((0.02, 0.01, 0.005), per_delta)
-        assert errs["standard"] > 3.7
-        assert errs["shifted"] < 3.0
-
 
 # Per model: (factory, Q0, P0, delta, omega) of a short, well-resolved run.
 PROPERTY_MODELS = {

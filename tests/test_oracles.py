@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import sympext as sx
+from sympext import checks
 from sympext.oracles import arithmetic_geometric_mean, complete_elliptic_k
 
 
@@ -95,6 +96,18 @@ class TestHalfPeriod:
         t = np.linspace(0.0, 0.99 * sx.half_period(-3.0), 50)
         Q, _ = sx.exact_solution(-3.0, t)
         np.testing.assert_array_equal(Q, -3.0 * sx.jacobi_elliptic(t * math.sqrt(10.0), 0.9)[1])
+
+
+class TestFirstReturnTime:
+    def test_matches_half_period(self):
+        assert abs(checks.first_return_time(-3.0) - sx.half_period(-3.0)) <= 1e-14
+
+    @pytest.mark.parametrize("chunk", [5, 7, 31])
+    def test_return_found_across_chunk_seams(self, monkeypatch, chunk):
+        # The return lies in step 16305: the first step of its chunk at 5, the last at 31.
+        default = checks.first_return_time(-3.0)
+        monkeypatch.setattr(checks, "_RETURN_CHUNK", chunk)
+        assert checks.first_return_time(-3.0) == default
 
 
 class TestExactSolution:
@@ -237,7 +250,7 @@ class TestReferenceFlow:
         m = sx.schwarzschild_hamiltonian()
         Q0, P0 = sx.schwarzschild_initial("constraint")
         ref = sx.reference_flow(m, Q0, P0, 10.0, n_samples=50)
-        H = sx.energy_series(m, ref.Q, ref.P)
+        H = m.value(ref.Q, ref.P)
         assert np.max(np.abs(H - H[0])) < 1e-10
 
     def test_non_convergence_reported(self):
@@ -299,5 +312,5 @@ class TestReferenceDissipative:
         ref = sx.reference_flow(
             m, np.array([1.0]), np.array([0.0]), 20.0, n_samples=30, force=sx.linear_drag(0.2)
         )
-        H = sx.energy_series(m, ref.Q, ref.P)
+        H = m.value(ref.Q, ref.P)
         assert H[-1] < 0.05 * H[0]

@@ -21,7 +21,8 @@ pairs the change won, the metric's bound and a verdict by these rules:
   change run beats every parent run;
 - ``no regression`` otherwise.
 
-It also records failed and attempted operations per side and the Python,
+It also records failed and attempted operations per side, each side's
+line count of ``src/sympext`` (as ``wc -l`` counts it) and the Python,
 numpy and scipy versions and the machine.
 """
 from __future__ import annotations
@@ -52,6 +53,11 @@ def export(rev: str, dest: Path) -> Path:
         tar.extractall(dest, filter="data")
     tar_path.unlink()
     return dest
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the package sources of ``tree``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "sympext").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,6 +132,7 @@ def main(argv=None) -> int:
             for side, rev in (("parent", args.parent), ("change", "HEAD"))}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
+        src_lines = {side: source_lines(tree) for side, tree in trees.items()}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = bench["run_seconds"]
         results = {}
@@ -141,7 +148,7 @@ def main(argv=None) -> int:
             results[workload] = summarize(runs, bench["end_to_end"])
     record = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS, "run_seconds": seconds,
               "seeds": [seed_base, seed_base + PAIRS - 1], "versions": versions(),
-              "workloads": results}
+              "src_lines": src_lines, "workloads": results}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -70,7 +70,6 @@ from .oracles import (
     half_period,
     jacobi_elliptic,
     reference_flow,
-    rk4_step,
     rk4_trajectory,
 )
 from .state import ExtendedState, Trajectory, canonical_j, embed, project, state_from_array

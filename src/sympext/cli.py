@@ -228,6 +228,9 @@ def _merge_sections(sections):
 
 
 def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+    dim = get_model(cfg.system, cfg.n_modes).dim
+    if dim != 1:
+        raise ConfigError(f"poincare sections need a 1-dof system, got {cfg.system} with {dim} degrees of freedom")
     qlo, qhi, nq = cfg.grid_q
     plo, phi_, np_ = cfg.grid_p
     grid = [(qv, pv) for qv in np.linspace(qlo, qhi, int(nq)) for pv in np.linspace(plo, phi_, int(np_))]
@@ -266,6 +269,8 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 def cmd_nls(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if cfg.system != "nls":
         raise ConfigError("the nls command needs system = nls")
+    if cfg.resolved_steps() < 1:
+        raise ConfigError("the nls command needs n_steps >= 1 for its running averages, got n_steps = 0")
     model = get_model(cfg.system, cfg.n_modes)
     traj = _run_trajectory(cfg)
     Q, P = traj.projected()

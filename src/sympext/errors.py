@@ -7,7 +7,9 @@ class SympextError(Exception):
     An error raised while a trajectory is advanced carries the samples
     stored before it as ``partial``, in the run's own result type: a
     Trajectory from ``integrate``/``integrate_batch``, a PhaseSeries from
-    ``rk4_trajectory``/``reference_flow``. A sample counts as stored only
+    ``rk4_trajectory``/``reference_flow``, and from ``apply_scheme`` and
+    the exact flows a Trajectory of the start state alone (empty if the
+    start itself is not finite). A sample counts as stored only
     once it passed the escape check, so an escape leaves the offending
     sample out of ``partial``. A section grid without an admissible seed
     raises AdmissibilityError whose ``partial`` is the PoincareSection of
@@ -23,7 +25,12 @@ class DomainError(SympextError):
 
 
 class EvaluationError(SympextError):
-    """A model evaluation produced non-finite values."""
+    """An evaluation that did not converge: the AGM iteration of ``jacobi_elliptic``.
+
+    A non-finite gradient is not reported here: it turns the state
+    non-finite, which every stepping entry point reports as
+    TrajectoryEscapedError.
+    """
 
 
 class TrajectoryEscapedError(SympextError):

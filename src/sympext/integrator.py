@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, SympextError, TrajectoryEscapedError
+from .errors import SympextError, TrajectoryEscapedError
 from .models import HamiltonianModel
 from .state import ExtendedState, Trajectory, embed, stack, state_from_array, unstack
 
@@ -55,7 +55,6 @@ class CompositionScheme:
     fractions of every kind sum to one, and the sequence is palindromic.
     """
 
-    order: int
     stages: tuple[tuple[str, float], ...]
 
     def __len__(self) -> int:
@@ -100,34 +99,17 @@ def build_scheme(order: int) -> CompositionScheme:
                 else:
                     expanded.append((kind, f))
         stages = expanded
-    return CompositionScheme(order=order, stages=tuple(stages))
-
-
-def _flow(kind: str, s: ExtendedState, delta: float, omega: float, model, force, t: float) -> ExtendedState:
-    """One exact flow, run as a one-stage kernel; A and B refuse non-finite gradients."""
-
-    components = None if model is None else _components(model, s.dim)
-
-    def grad(*ab):
-        ga, gb = components(*ab)
-        for name, g in (("grad_a", ga), ("grad_b", gb)):
-            for i, gi in enumerate(g):
-                if not np.all(np.isfinite(gi)):
-                    raise EvaluationError(f"flow_{kind.lower()}: non-finite gradient component {name}[{i}]")
-        return ga, gb
-
-    kernel = _kernel(CompositionScheme(0, ((kind, 1.0),)), delta, omega, s.dim, grad, force)
-    return state_from_array(_blocks(kernel(_lanes(*s), t), s.dim))
+    return CompositionScheme(tuple(stages))
 
 
 def flow_a(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
     """Exact flow of the first copy H(q, y): kicks p, drifts x, fixes q and y."""
-    return _flow("A", s, delta, 0.0, model, force, t)
+    return apply_scheme(s, CompositionScheme((("A", 1.0),)), delta, 0.0, model, force, t)
 
 
 def flow_b(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
     """Exact flow of the second copy H(x, p): drifts q, kicks y, fixes p and x."""
-    return _flow("B", s, delta, 0.0, model, force, t)
+    return apply_scheme(s, CompositionScheme((("B", 1.0),)), delta, 0.0, model, force, t)
 
 
 def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
@@ -137,7 +119,7 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
     (q - x, p - y) rotate by angle 2 * omega * delta; an exact linear
     symplectic map for any inputs.
     """
-    return _flow("C", s, delta, omega, None, None, 0.0)
+    return apply_scheme(s, CompositionScheme((("C", 1.0),)), delta, omega, None)
 
 
 # -- the generated step kernel ---------------------------------------------
@@ -180,9 +162,6 @@ def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
     if forced:
         parts.append(f"{clock} = {clock} + {h}")
     return "; ".join(parts)
-
-
-_STEP_HEADER = 4  # lines of the factory source before the first stage line
 
 
 @functools.cache
@@ -238,14 +217,6 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, grad, force=
     return _step_factory("".join(kinds), d, force is not None)(grad, forces, *substeps, *rotations)
 
 
-def _failed_stage(exc: BaseException, kernel) -> int:
-    """Index of the stage whose line of ``kernel`` raised ``exc``."""
-    tb = exc.__traceback__
-    while tb.tb_frame.f_code is not kernel.__code__:
-        tb = tb.tb_next
-    return tb.tb_lineno - _STEP_HEADER - 1
-
-
 def _lanes(*blocks) -> list:
     """The lane variables of (..., d) blocks, block by block.
 
@@ -253,12 +224,6 @@ def _lanes(*blocks) -> list:
     """
     arr = np.stack(blocks, axis=-2)
     return unstack(arr.reshape(arr.shape[:-2] + (-1,)))
-
-
-def _blocks(z, d: int) -> np.ndarray:
-    """Inverse of ``_lanes``: the lane variables as one (..., n_blocks, d) array."""
-    arr = stack(z)
-    return arr.reshape(arr.shape[:-1] + (-1, d))
 
 
 def _lane_rows(out: np.ndarray) -> np.ndarray:
@@ -304,22 +269,21 @@ def apply_scheme(
     scheme: CompositionScheme,
     delta: float,
     omega: float,
-    model: HamiltonianModel,
+    model: HamiltonianModel | None,
     force=None,
     t0: float = 0.0,
 ) -> ExtendedState:
     """One update of ``scheme`` at step ``delta``, of either sign. Deterministic in its inputs.
 
     ``force`` adds F(position, momentum, time) to the momentum kicks; with
-    F identically zero the step is bitwise the unforced one.
+    F identically zero the step is bitwise the unforced one. The update is
+    a one-step ``_drive`` run that refuses exactly the non-finite states,
+    so it fails like ``integrate``; ``model`` may be None for a scheme of
+    C stages only.
     """
-    kernel = _kernel(scheme, delta, omega, s.dim, _components(model, s.dim), force)
-    try:
-        z = kernel(_lanes(*s), t0)
-    except SympextError as exc:
-        k = _failed_stage(exc, kernel)
-        raise type(exc)(f"stage {k} ({scheme.stages[k][0]}): {exc}") from exc
-    return state_from_array(_blocks(z, s.dim))
+    grad = None if model is None else _components(model, s.dim)
+    traj = _drive(_kernel(scheme, delta, omega, s.dim, grad, force), s, delta, 1, 1, Trajectory, _FINITE, t0)
+    return state_from_array(traj.states[-1])
 
 
 def _sample_indices(n_steps: int, stride: int) -> list[int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _FINITE, _blocks, _components, _drive, _lanes, _packed_force
+from .integrator import _FINITE, _components, _drive, _packed_force
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -173,17 +173,6 @@ def _rk4(grad, force, z, h, t):
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
-def _rk4_parts(model: HamiltonianModel, force, d: int):
-    return _components(model, d), None if force is None else _packed_force(force, d)
-
-
-def rk4_step(model: HamiltonianModel, Q, P, delta: float, *, force=None, t: float = 0.0):
-    """One classical 4th-order Runge-Kutta step of the canonical equations."""
-    z = _rk4(*_rk4_parts(model, force, np.shape(Q)[-1]), _lanes(Q, P), delta, t)
-    QP = _blocks(z, model.dim)
-    return QP[..., 0, :], QP[..., 1, :]
-
-
 def _phase_series(times, states) -> PhaseSeries:
     return PhaseSeries(times, states[:, ..., 0, :], states[:, ..., 1, :])
 
@@ -205,7 +194,8 @@ def rk4_trajectory(
     """
     Q = np.atleast_1d(np.asarray(Q0, dtype=float))
     P = np.atleast_1d(np.asarray(P0, dtype=float))
-    grad, forces = _rk4_parts(model, force, Q.shape[-1])
+    grad = _components(model, Q.shape[-1])
+    forces = None if force is None else _packed_force(force, Q.shape[-1])
     return _drive(lambda z, t: _rk4(grad, forces, z, delta, t), (Q, P), delta, n_steps, stride,
                   _phase_series, _FINITE)
 

@@ -252,11 +252,25 @@ class TestPoincareCommand:
         )
         assert main(["poincare", "--config", cfg, "--out", str(tmp_path), "--workers", workers]) == 3
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("system", ["schwarzschild", "nls"])
+    def test_multi_dof_system_is_config_error(self, tmp_path, capsys, system, workers):
+        cfg = write_config(tmp_path, f"system = {system}\nshell = 10\ngrid_q = -1:1:2\ngrid_p = -1:1:2\n")
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path), "--workers", workers]) == 2
+        assert "1-dof" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestNlsCommand:
     def test_requires_mode_system(self, tmp_path):
         cfg = write_config(tmp_path, "system = product1d\nt_final = 1\n")
         assert main(["nls", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_zero_steps_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "system = nls\nn_modes = 2\nn_steps = 0\n")
+        assert main(["nls", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n_steps = 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_observable_columns(self, tmp_path):
         cfg = write_config(

@@ -175,9 +175,9 @@ def assert_finite_partial(err, times):
 class TestRk4:
     def test_zero_step_identity(self):
         m = sx.product_hamiltonian()
-        Q, P = sx.rk4_step(m, np.array([-3.0]), np.array([0.5]), 0.0)
-        np.testing.assert_array_equal(Q, [-3.0])
-        np.testing.assert_array_equal(P, [0.5])
+        series = sx.rk4_trajectory(m, np.array([-3.0]), np.array([0.5]), 0.0, 1)
+        np.testing.assert_array_equal(series.Q[-1], [-3.0])
+        np.testing.assert_array_equal(series.P[-1], [0.5])
 
     def test_linear_system_reproduces_taylor_polynomial(self):
         # Harmonic oscillator: one step equals the degree-4 Taylor rotation.
@@ -188,7 +188,8 @@ class TestRk4:
             grad_b=lambda a, b: b,
         )
         delta = 0.3
-        Q, P = sx.rk4_step(m, np.array([0.7]), np.array([-0.2]), delta)
+        series = sx.rk4_trajectory(m, np.array([0.7]), np.array([-0.2]), delta, 1)
+        Q, P = series.Q[-1], series.P[-1]
         c = 1.0 - delta**2 / 2.0 + delta**4 / 24.0
         s = delta - delta**3 / 6.0
         assert Q[0] == pytest.approx(0.7 * c - 0.2 * s, rel=1e-15)
@@ -209,12 +210,11 @@ class TestRk4:
         with pytest.raises(ValueError, match="n_steps must be >= 0"):
             sx.rk4_trajectory(sx.product_hamiltonian(), np.array([-3.0]), np.array([0.0]), 0.1, -1)
 
-    @pytest.mark.parametrize("oracle", ["rk4_step", "rk4_trajectory", "reference_flow"])
+    @pytest.mark.parametrize("oracle", ["rk4_trajectory", "reference_flow"])
     def test_wrong_dimension_start_rejected(self, oracle):
         m = sx.product_hamiltonian()
         Q0, P0 = np.array([-3.0, 1.0]), np.array([0.0, 0.0])
         call = {
-            "rk4_step": lambda: sx.rk4_step(m, Q0, P0, 0.1),
             "rk4_trajectory": lambda: sx.rk4_trajectory(m, Q0, P0, 0.1, 3),
             "reference_flow": lambda: sx.reference_flow(m, Q0, P0, 1.0),
         }[oracle]

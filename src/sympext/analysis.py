@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, PhaseUndefinedError, SympextError
-from .integrator import _FINITE, _components, _drive, _kernel, build_scheme
+from .integrator import _FINITE, _drive, _kernel, build_scheme
 from .models import HamiltonianModel, extended_energy, extended_vector_field
 from .state import ExtendedState, Trajectory, state_from_array
 
@@ -70,7 +70,7 @@ def polar_errors(times, q_num, p_num, q_ref, p_ref) -> PolarErrorSeries:
     may exceed 2 pi. Series must share the time grid.
     """
     times = np.asarray(times, dtype=float)
-    q_num, p_num, q_ref, p_ref = (np.squeeze(np.asarray(a, dtype=float)) for a in (q_num, p_num, q_ref, p_ref))
+    q_num, p_num, q_ref, p_ref = (np.asarray(a, dtype=float) for a in (q_num, p_num, q_ref, p_ref))
     if not (times.shape == q_num.shape == p_num.shape == q_ref.shape == p_ref.shape):
         raise ValueError("polar error series must share one time grid")
     r_num = np.hypot(q_num, p_num)
@@ -372,7 +372,7 @@ def poincare_section(
 
     states, skipped = section_initial_conditions(model, ic_grid, omega, shell, max_lanes=max_lanes)
     n_lanes = len(states)
-    kernel = _kernel(build_scheme(order), delta, omega, 1, _components(model, 1))
+    kernel = _kernel(build_scheme(order), delta, omega, 1, model)
     shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
     found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]

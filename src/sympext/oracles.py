@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _FINITE, _components, _drive, _packed_force
+from .integrator import _FINITE, _components, _drive, _lanewise, _packed_force
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -196,8 +196,8 @@ def rk4_trajectory(
     P = np.atleast_1d(np.asarray(P0, dtype=float))
     grad = _components(model, Q.shape[-1])
     forces = None if force is None else _packed_force(force, Q.shape[-1])
-    return _drive(lambda z, t: _rk4(grad, forces, z, delta, t), (Q, P), delta, n_steps, stride,
-                  _phase_series, _FINITE)
+    kernel = _lanewise(lambda z, t: _rk4(grad, forces, z, delta, t), model, force=force)
+    return _drive(kernel, (Q, P), delta, n_steps, stride, _phase_series, _FINITE)
 
 
 def reference_flow(

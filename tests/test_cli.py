@@ -193,6 +193,13 @@ class TestTableCommand:
         slope = float([l for l in meta.splitlines() if "slope_amplitude" in l][0].split("=")[1])
         assert slope == pytest.approx(2.0, abs=0.35)
 
+    def test_zero_steps_reports_the_start_errors(self, tmp_path):
+        cfg = write_config(tmp_path, "system = product1d\nomegas = 20\nn_steps = 0\n")
+        assert main(["table", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "table.csv").read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].endswith(",ok")
+
     def test_both_scans_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "system = product1d\nomegas = 1,2\ndeltas = 0.1,0.2\nt_final = 1\n")
         assert main(["table", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -304,6 +311,13 @@ class TestCompareCommand:
         assert "max_amplitude_error" in verdict
         header = (tmp_path / "compare.csv").read_text().splitlines()[0]
         assert header == "t,amp_err,phase_err,amp_err_rk4,phase_err_rk4"
+
+    def test_zero_steps_reports_the_start_errors(self, tmp_path):
+        cfg = write_config(tmp_path, "system = product1d\nn_steps = 0\n")
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "compare.csv").read_text().splitlines()
+        assert len(lines) == 2  # the header and the start, where every error is zero
+        assert "max_amplitude_error = 0" in (tmp_path / "compare_verdict.txt").read_text()
 
     def test_self_zero_difference(self, tmp_path):
         # the proposed-versus-exact error recomputed twice agrees with itself

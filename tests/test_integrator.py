@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympext as sx
-from sympext.integrator import apply_scheme, build_scheme, triple_jump_gamma
+from sympext.integrator import _NARROW_LANES, apply_scheme, build_scheme, triple_jump_gamma
 
 
 @pytest.fixture
@@ -220,6 +220,22 @@ class TestOneReportPerFault:
             call()
         assert len(err.value.partial) == 1  # the start, stored before the failing step
 
+    def test_nan_lane_fails_alike_narrow_and_wide(self, product):
+        # Lane 1 starts so far out that its step overflows to inf and then NaN; only NaN breaks the bound.
+        Q0 = np.full((_NARROW_LANES + 1, 1), -3.0)
+        Q0[1] = 1e100
+        P0 = np.zeros_like(Q0)
+        errors = []
+        for lanes in (2, _NARROW_LANES + 1):
+            with pytest.raises(sx.TrajectoryEscapedError) as err, np.errstate(over="ignore", invalid="ignore"):
+                sx.integrate_batch(Q0[:lanes], P0[:lanes], 0.1, 1.0, 2, 10, product, escape_bound=math.inf)
+            errors.append(err.value)
+        narrow, wide = errors
+        assert str(narrow) == str(wide)
+        assert "max |state| = inf" in str(narrow)
+        assert 1 < len(narrow.partial) == len(wide.partial)
+        np.testing.assert_array_equal(narrow.partial.states, wide.partial.states[:, :2])
+
     def test_horizon_error_reads_the_same_from_step_and_run(self):
         model = sx.schwarzschild_hamiltonian()
         Q0 = np.array([0.0, 2.5, 0.0])  # barely outside the horizon: first kick dives in
@@ -381,6 +397,36 @@ class TestKernelProperties:
             cfg = sx.IntegratorConfig(delta, float(omegas[lane]), order, 25)
             single = sx.integrate(Qb[lane], Pb[lane], cfg, model, stride=stride)
             np.testing.assert_array_equal(batch.states[:, lane], single.states)
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([2, 4]), stride=st.integers(1, 9))
+    def test_narrow_batch_equals_its_lanes_in_a_wide_batch(self, name, seed, order, stride):
+        # Lane by lane on floats (at most _NARROW_LANES lanes) against numpy columns (more lanes).
+        factory, Q0, P0, delta, omega = PROPERTY_MODELS[name]
+        model = factory()
+        rng = np.random.default_rng(seed)
+        Qb, Pb = _perturbed(Q0, rng, (_NARROW_LANES + 1,)), _perturbed(P0, rng, (_NARROW_LANES + 1,))
+
+        def rk4(Q, P):
+            series = sx.rk4_trajectory(model, Q, P, delta, 25, stride=stride)
+            return np.stack((series.Q, series.P), axis=-2)
+
+        runs = [  # each gives its lanes on axis 1
+            lambda Q, P: sx.integrate_batch(Q, P, delta, omega, order, 25, model, stride=stride).states,
+            rk4,
+            lambda Q, P: apply_scheme(sx.embed(Q, P), build_scheme(order), delta, omega, model).to_array()[None],
+        ]
+        for run in runs:
+            np.testing.assert_array_equal(run(Qb[:3], Pb[:3]), run(Qb, Pb)[:, :3])
+        if model.dim == 1:
+            grid = list(zip(rng.uniform(-1.5, 1.5, 12), rng.uniform(-0.5, 1.0, 12)))
+            narrow, wide = (sx.poincare_section(model, g, 10.0, 10.0, order=order, max_crossings=4)
+                            for g in (grid[:2], grid))
+            assert narrow.n_trajectories <= _NARROW_LANES < wide.n_trajectories
+            mine = wide.trajectory_id < narrow.n_trajectories
+            np.testing.assert_array_equal(wide.points[mine], narrow.points)
+            np.testing.assert_array_equal(wide.y_values[mine], narrow.y_values)
+            np.testing.assert_array_equal(wide.crossing_index[mine], narrow.crossing_index)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([2, 4]))

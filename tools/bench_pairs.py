@@ -24,6 +24,14 @@ pairs the change won, the metric's bound and a verdict by these rules:
 It also records failed and attempted operations per side, each side's
 line count of ``src/sympext`` (as ``wc -l`` counts it) and the Python,
 numpy and scipy versions and the machine.
+
+Before the pairs, a micro table records microseconds per step of
+``integrate_batch`` (one ``integrator._drive`` run of 256 order-4 steps at
+omega = 10, every step stored) at 1 to 1024 lanes, for the product
+oscillator (d = 1) and the 2-mode system (d = 2): each of three rounds
+runs one process per side, alternating which side goes first, and the
+table holds each side's median over the rounds. It is a record of
+lane-step cost, not a gate.
 """
 from __future__ import annotations
 
@@ -41,6 +49,30 @@ from pathlib import Path
 
 WORKLOADS = ("single_lane", "wide_batch", "cli_pipeline")
 PAIRS = 10
+MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
+MICRO_ROUNDS = 3
+# Prints {"<model>/<lanes>": us per step}; each cell is the median of 256-step runs repeated for 0.1 s.
+MICRO_SCRIPT = """
+import json, statistics, sys, time
+import numpy as np
+import sympext as sx
+
+cells = {}
+for name, model, q0, p0 in (("product", sx.product_hamiltonian(), [-3.0], [0.0]),
+                            ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0])):
+    for lanes in json.loads(sys.argv[1]):
+        rng = np.random.default_rng(lanes)
+        Q = np.asarray(q0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(q0)))
+        P = np.asarray(p0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(p0)))
+        sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model)  # compiles the step kernel
+        runs = []
+        while len(runs) < 3 or sum(runs) < 0.1:
+            start = time.perf_counter()
+            sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model)
+            runs.append(time.perf_counter() - start)
+        cells[f"{name}/{lanes}"] = 1e6 * statistics.median(runs) / 256
+print(json.dumps(cells))
+"""
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -69,6 +101,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def micro_table(trees: dict, lanes=MICRO_LANES) -> dict:
+    """Microseconds per integrate_batch step, per side and cell, over interleaved rounds."""
+    rounds = {side: [] for side in trees}
+    for i in range(MICRO_ROUNDS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, json.dumps(list(lanes))],
+                                  cwd=trees[side], env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
+                                  capture_output=True, text=True, check=True)
+            rounds[side].append(json.loads(proc.stdout))
+    cells = {}
+    for cell in rounds["parent"][0]:
+        parent, change = (statistics.median(r[cell] for r in rounds[side]) for side in ("parent", "change"))
+        cells[cell] = {"parent_us": parent, "change_us": change, "ratio": change / parent}
+    return {"unit": "us per step", "order": 4, "omega": 10.0, "steps": 256, "rounds": MICRO_ROUNDS,
+            "cells": cells}
 
 
 def describe(values: list[float]) -> dict:
@@ -135,6 +184,7 @@ def main(argv=None) -> int:
         src_lines = {side: source_lines(tree) for side, tree in trees.items()}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = bench["run_seconds"]
+        micro = micro_table(trees)
         results = {}
         for workload in WORKLOADS:
             runs = {"parent": [], "change": []}
@@ -148,7 +198,7 @@ def main(argv=None) -> int:
             results[workload] = summarize(runs, bench["end_to_end"])
     record = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS, "run_seconds": seconds,
               "seeds": [seed_base, seed_base + PAIRS - 1], "versions": versions(),
-              "src_lines": src_lines, "workloads": results}
+              "src_lines": src_lines, "micro": micro, "workloads": results}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -126,9 +126,9 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
 #
 # One step of a composition is straight-line Python over the 4d lane
 # variables q0..q{d-1}, p0.., x0.., y0.., one source line per stage. The same
-# source runs on Python floats (one lane) and on numpy columns (a batch):
-# every operation is elementwise and in the order of the (..., d) array
-# formulas, so both give the bits of the array arithmetic. The compiled
+# source runs on Python floats (one lane at a time) and on numpy columns (a
+# batch): every operation is elementwise and in the order of the (..., d)
+# array formulas, so both give the bits of the array arithmetic. The compiled
 # source depends only on the stage kinds, d and whether a force is present;
 # substeps and rotations are closure constants bound per call.
 
@@ -329,7 +329,7 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     width = start.shape[-2] * start.shape[-1]
     n_lanes = math.prod(start.shape[:-2])
     step = kernel
-    if start.ndim > 2 and n_lanes <= _NARROW_LANES and getattr(kernel, "lanewise", False):
+    if start.ndim > 2 and n_lanes <= _NARROW_LANES and kernel.lanewise:
         rows = out.reshape(len(sample_at), n_lanes, width)
         z = start.reshape(n_lanes, width).tolist()
 

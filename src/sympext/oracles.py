@@ -162,7 +162,7 @@ def _rk4(grad, force, z, h, t):
 
     ``grad`` and ``force`` are the per-component forms of the gradient and
     of F(Q, P, t) (``integrator._components``/``_packed_force``); the lanes
-    are Python floats for one trajectory or numpy columns for a batch.
+    are Python floats for one trajectory at a time or numpy columns for a batch.
     """
     half = 0.5 * h
     k1 = _canonical_rhs(grad, force, z, t)

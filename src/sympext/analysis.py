@@ -269,6 +269,57 @@ def _hermite_root(f0, f1, d0, d1, h, tol):
     return 0.5 * (lo + hi)
 
 
+def _brent(f, a, b, xtol):
+    """A root of f in [a, b], where f(a) and f(b) have opposite signs.
+
+    Brent's (1973) method, step for step in the order of
+    scipy.optimize.brentq's C implementation, with its relative tolerance
+    4 eps and at most 100 iterations, so it returns brentq's bits. The
+    tolerance on the root is xtol + 4 eps |root|.
+    """
+    rtol = 4.0 * float(np.finfo(float).eps)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        tol = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < tol:
+            return xcur
+        short = False
+        if abs(spre) > tol and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - tol)
+            except ZeroDivisionError:  # the C step is then inf or NaN, which fails this test
+                pass
+        if short:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > tol else (tol if sbis > 0 else -tol)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent root polish failed to converge after 100 iterations, value is {xcur!r}")
+
+
 def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float, p: float):
     """All y in [-12, 12] putting (q, p, x = 0, y) on the energy shell.
 
@@ -276,8 +327,6 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
     evaluation over the whole scan, and polishes each bracket by root
     finding; the grid point is inadmissible when no real root exists.
     """
-    from scipy.optimize import brentq
-
     x = np.zeros(1)
     qa = np.full(1, q)
     pa = np.full(1, p)
@@ -296,7 +345,7 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
         if a == 0.0:
             roots.append(float(ys[i]))
         elif a * b < 0.0:
-            roots.append(float(brentq(residual, ys[i], ys[i + 1], xtol=1e-13)))
+            roots.append(_brent(residual, ys[i], ys[i + 1], 1e-13))
     if vals[-1] == 0.0:
         roots.append(float(ys[-1]))
     # Deduplicate near-coincident brackets.
@@ -421,11 +470,27 @@ def poincare_section(
     )
 
 
-def _nn_mean_distance(pts: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
+# Rows of one block of the nearest-neighbour brute force.
+_NN_CHUNK = 256
 
-    dists, _ = cKDTree(pts).query(pts, k=2)
-    return float(np.mean(dists[:, 1]))
+
+def _nn_mean_distance(pts: np.ndarray) -> float:
+    """Mean distance from each point of an (n, k) set to its nearest other point.
+
+    Brute force over chunks of ``_NN_CHUNK`` rows: the squared distances
+    are summed over the coordinates from left to right, each point's
+    distance to itself is +inf, and the square root is taken of the row
+    minimum, as a k-d tree query computes them.
+    """
+    nearest = np.empty(len(pts))
+    for i in range(0, len(pts), _NN_CHUNK):
+        rows = pts[i:i + _NN_CHUNK]
+        sq = (rows[:, None, 0] - pts[None, :, 0]) ** 2
+        for c in range(1, pts.shape[1]):
+            sq += (rows[:, None, c] - pts[None, :, c]) ** 2
+        sq[np.arange(len(rows)), np.arange(i, i + len(rows))] = np.inf
+        nearest[i:i + len(rows)] = sq.min(axis=1)
+    return float(np.mean(np.sqrt(nearest)))
 
 
 def chaos_statistic(section: PoincareSection) -> float:

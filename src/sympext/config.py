@@ -127,28 +127,12 @@ class ExperimentConfig:
         return IntegratorConfig(self.delta, self.omega, self.order, self.resolved_steps())
 
 
+# Each key's parser, from its field's type (a string under postponed
+# annotations); the grid axes are min:max:count triples.
+_TYPE_PARSERS = {"float": _parse_float, "int": _parse_int, "str": str, "tuple": _parse_floats}
 _PARSERS = {
-    "system": str,
-    "n_modes": _parse_int,
-    "ic_preset": str,
-    "q0": _parse_floats,
-    "p0": _parse_floats,
-    "delta": _parse_float,
-    "omega": _parse_float,
-    "order": _parse_int,
-    "t_final": _parse_float,
-    "n_steps": _parse_int,
-    "projection": str,
-    "gamma": _parse_float,
-    "stride": _parse_int,
-    "out": str,
-    "deltas": _parse_floats,
-    "omegas": _parse_floats,
-    "shell": _parse_float,
-    "grid_q": _parse_grid,
-    "grid_p": _parse_grid,
-    "max_crossings": _parse_int,
-    "escape_bound": _parse_float,
+    f.name: _parse_grid if f.name in ("grid_q", "grid_p") else _TYPE_PARSERS[f.type]
+    for f in fields(ExperimentConfig)
 }
 
 

@@ -304,6 +304,8 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
 #   2-mode     319 -> 149  347 -> 296  352 -> 372  362 -> 444  334 -> 612
 _NARROW_LANES = 16
 
+_EMPTY_BATCH = "empty batch: a run needs at least one lane"
+
 
 def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, observers=()):
     """The one trajectory loop behind every sampled run.
@@ -328,6 +330,8 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     out = np.empty((len(sample_at),) + start.shape)
     width = start.shape[-2] * start.shape[-1]
     n_lanes = math.prod(start.shape[:-2])
+    if not n_lanes:
+        raise ValueError(_EMPTY_BATCH)
     step = kernel
     if start.ndim > 2 and n_lanes <= _NARROW_LANES and kernel.lanewise:
         rows = out.reshape(len(sample_at), n_lanes, width)
@@ -409,6 +413,8 @@ def integrate_batch(
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
     om = np.asarray(omega, dtype=float)
+    if not om.size:
+        raise ValueError(_EMPTY_BATCH)
     for extreme in (om.min(), om.max()):  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
     s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))

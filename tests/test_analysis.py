@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 import sympext as sx
-from sympext.analysis import CHAOS_THRESHOLD, REGULAR_THRESHOLD, drift_is_bounded
+from sympext.analysis import CHAOS_THRESHOLD, REGULAR_THRESHOLD, _brent, _nn_mean_distance, drift_is_bounded
 from sympext.checks import _rotation_average_quadrature
 
 
@@ -271,6 +275,65 @@ class TestPoincare:
         assert sx.classify_section(CHAOS_THRESHOLD + 0.1) == "chaotic"
         assert sx.classify_section(REGULAR_THRESHOLD - 0.1) == "regular"
         assert sx.classify_section(0.5 * (CHAOS_THRESHOLD + REGULAR_THRESHOLD)) == "mixed"
+
+
+def _shell_brackets(omega, shell, q, p):
+    """The shell residual of (q, p, x = 0, y) and its sign-change brackets on shell_momenta's scan."""
+    model = sx.product_hamiltonian()
+
+    def residual(y):
+        s = sx.ExtendedState(*(np.full(1, v) for v in (q, p, 0.0, y)))
+        return float(sx.extended_energy(model, omega, s)) - shell
+
+    ys = np.linspace(-12.0, 12.0, 1201)
+    ones = np.ones((len(ys), 1))
+    vals = sx.extended_energy(model, omega, sx.ExtendedState(q * ones, p * ones, 0 * ones, ys[:, None])) - shell
+    return residual, [(ys[i], ys[i + 1]) for i in range(len(ys) - 1) if vals[i] * vals[i + 1] < 0.0]
+
+
+class TestScipyOracles:
+    """The package's root polish and nearest-neighbour mean return scipy's bits."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.8, 10.0])
+    def test_brent_is_brentq_on_the_criterion_grid(self, omega):
+        brackets = 0
+        for q in np.linspace(-2.2, 2.2, 12):
+            for p in np.linspace(-2.8, 2.8, 12):
+                residual, pairs = _shell_brackets(omega, 10.0, q, p)
+                for a, b in pairs:
+                    assert _brent(residual, a, b, 1e-13).hex() == brentq(residual, a, b, xtol=1e-13).hex()
+                brackets += len(pairs)
+        assert brackets
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 25.0)), st.floats(0.5, 40.0),
+    )
+    def test_brent_is_brentq(self, q, p, omega, shell):
+        residual, pairs = _shell_brackets(omega, shell, q, p)
+        for a, b in pairs:
+            assert _brent(residual, a, b, 1e-13).hex() == brentq(residual, a, b, xtol=1e-13).hex()
+
+    def test_brent_is_brentq_where_the_step_divides_by_zero(self):
+        # At this scale the extrapolation's denominator underflows to 0; brentq then bisects.
+        def f(x):
+            return 1e-200 * (x**3 - 0.3)
+
+        assert _brent(f, 0.0, 1.0, 1e-13).hex() == brentq(f, 0.0, 1.0, xtol=1e-13).hex()
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 600])
+    def test_nn_mean_distance_is_kdtree(self, n):
+        pts = np.random.default_rng(n).normal(size=(n, 3))
+        dists, _ = cKDTree(pts).query(pts, k=2)
+        assert _nn_mean_distance(pts).hex() == float(np.mean(dists[:, 1])).hex()
+
+    def test_nn_mean_distance_is_kdtree_with_repeated_coordinates(self):
+        # A coarse lattice: coordinates repeat and many neighbours tie.
+        pts = np.round(np.random.default_rng(3).uniform(-2.0, 2.0, size=(400, 3)) * 2) / 2
+        pts = np.unique(pts, axis=0)
+        dists, _ = cKDTree(pts).query(pts, k=2)
+        assert _nn_mean_distance(pts).hex() == float(np.mean(dists[:, 1])).hex()
 
 
 class TestSlopeFit:

@@ -1,4 +1,8 @@
 """Configuration parsing and the command line harness."""
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -250,6 +254,29 @@ class TestPoincareCommand:
         assert len(rows) > 8
         meta = (tmp_path / "section.meta").read_text()
         assert "chaos statistic" in meta
+
+    def test_runs_without_scipy(self, tmp_path):
+        # A None entry in sys.modules makes every scipy import fail.
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nomega = 10\nshell = 10\n"
+            "grid_q = -0.5:0.5:2\ngrid_p = -0.5:0.5:2\nmax_crossings = 128\n",
+        )
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import sympext.checks\n"
+            "from sympext.cli import main\n"
+            f"code = main(['poincare', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+            "print('scipy modules:', sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(sx.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert re.search(r"^chaos statistic: \d+\.\d+", run.stdout, re.MULTILINE), run.stdout
+        assert "scipy modules: []" in run.stdout
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unreachable_shell_numeric_abort(self, tmp_path, workers):

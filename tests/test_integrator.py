@@ -236,6 +236,18 @@ class TestOneReportPerFault:
         assert 1 < len(narrow.partial) == len(wide.partial)
         np.testing.assert_array_equal(narrow.partial.states, wide.partial.states[:, :2])
 
+    @pytest.mark.parametrize("entry", ["integrate_batch", "integrate_batch_lane_omega", "rk4_trajectory", "apply_scheme"])
+    def test_empty_batch_rejected(self, product, entry):
+        Q0 = P0 = np.zeros((0, 1))
+        call = {
+            "integrate_batch": lambda: sx.integrate_batch(Q0, P0, 0.1, 1.0, 2, 2, product),
+            "integrate_batch_lane_omega": lambda: sx.integrate_batch(Q0, P0, 0.1, np.zeros(0), 2, 2, product),
+            "rk4_trajectory": lambda: sx.rk4_trajectory(product, Q0, P0, 0.1, 2),
+            "apply_scheme": lambda: apply_scheme(sx.embed(Q0, P0), build_scheme(2), 0.1, 1.0, product),
+        }[entry]
+        with pytest.raises(ValueError, match="empty batch"):
+            call()
+
     def test_horizon_error_reads_the_same_from_step_and_run(self):
         model = sx.schwarzschild_hamiltonian()
         Q0 = np.array([0.0, 2.5, 0.0])  # barely outside the horizon: first kick dives in

@@ -72,4 +72,4 @@ from .oracles import (
     reference_flow,
     rk4_trajectory,
 )
-from .state import ExtendedState, Trajectory, canonical_j, embed, project, state_from_array
+from .state import ExtendedState, Trajectory, canonical_j, embed, state_from_array

@@ -216,7 +216,7 @@ class PoincareSection:
 
     ``points`` holds the plotted (q, p) pairs; ``y_values`` keeps the
     matching second-copy momentum so the section manifold can be examined
-    without the fold-backs of the planar projection.
+    without the fold-backs that the (q, p) plane alone shows.
     """
 
     shell: float

@@ -88,7 +88,6 @@ def _run_trajectory(cfg: ExperimentConfig) -> Trajectory:
         cfg.integrator_config(),
         model,
         force=force,
-        projection=cfg.projection,
         stride=cfg.stride,
         escape_bound=cfg.escape_bound,
     )

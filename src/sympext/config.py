@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields, replace
 from .errors import ConfigError
 from .integrator import IntegratorConfig
 from .models import MODEL_NAMES
-from .state import PROJECTIONS
 
 
 def _parse_float(text: str) -> float:
@@ -66,7 +65,6 @@ class ExperimentConfig:
     order: int = 4
     t_final: float = 0.0
     n_steps: int = -1  # -1 means unset; 0 is a valid single-sample run
-    projection: str = "copy1"
     gamma: float = 0.0
     stride: int = 1
     out: str = ""
@@ -100,8 +98,6 @@ class ExperimentConfig:
             raise ConfigError(f"n_steps: must be nonnegative, got {self.n_steps}")
         if self.t_final > 0 and self.n_steps >= 0:
             raise ConfigError("t_final and n_steps are mutually exclusive; set one of them")
-        if self.projection not in PROJECTIONS:
-            raise ConfigError(f"projection: expected one of {PROJECTIONS}, got {self.projection!r}")
         if self.gamma < 0:
             raise ConfigError(f"gamma: dissipation coefficient must be >= 0, got {self.gamma}")
         if self.stride < 1:
@@ -124,7 +120,8 @@ class ExperimentConfig:
         raise ConfigError("run duration missing: set t_final or n_steps")
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(self.delta, self.omega, self.order, self.resolved_steps())
+        # Checked before resolved_steps divides by delta: a scan point may carry any delta.
+        return replace(IntegratorConfig(self.delta, self.omega, self.order), n_steps=self.resolved_steps())
 
 
 # Each key's parser, from its field's type (a string under postponed

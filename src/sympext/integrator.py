@@ -374,7 +374,6 @@ def integrate(
     observers: Sequence[Callable] = (),
     *,
     force=None,
-    projection: str = "copy1",
     stride: int = 1,
     escape_bound: float = 1e12,
     t0: float = 0.0,
@@ -389,8 +388,7 @@ def integrate(
     """
     s0 = embed(Q0, P0)
     kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.dim, model, force)
-    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride,
-                  lambda times, states: Trajectory(times, states, projection), escape_bound, t0, observers)
+    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0, observers)
 
 
 def integrate_batch(
@@ -402,7 +400,6 @@ def integrate_batch(
     n_steps: int,
     model: HamiltonianModel,
     *,
-    force=None,
     stride: int = 1,
     escape_bound: float = 1e12,
 ) -> Trajectory:
@@ -412,11 +409,14 @@ def integrate_batch(
     giving one binding strength per lane. Returns a Trajectory whose states
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
-    om = np.asarray(omega, dtype=float)
+    s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
+    om, lanes = np.asarray(omega, dtype=float), s0.q.shape[:-1]
+    if om.ndim and om.shape != lanes:
+        raise ValueError(f"omega has shape {om.shape} but the batch has lane shape {lanes}: "
+                         "give a scalar or one binding per lane")
     if not om.size:
         raise ValueError(_EMPTY_BATCH)
     for extreme in (om.min(), om.max()):  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
-    s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
-    kernel = _kernel(build_scheme(order), delta, omega, s0.dim, model, force)
+    kernel = _kernel(build_scheme(order), delta, omega, s0.dim, model)
     return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)

@@ -6,8 +6,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-PROJECTIONS = ("copy1", "mean", "copy2")
-
 
 class ExtendedState(NamedTuple):
     """A point (q, p, x, y) of the doubled phase space.
@@ -64,21 +62,6 @@ def embed(Q0, P0) -> ExtendedState:
     return ExtendedState(Q0.copy(), P0.copy(), Q0.copy(), P0.copy())
 
 
-def project(state_or_array, policy: str = "copy1"):
-    """Reported (Q, P) pair for one of the projection policies.
-
-    copy1 -> (q, p), copy2 -> (x, y), mean -> ((q + x) / 2, (p + y) / 2).
-    """
-    q, p, x, y = as_parts(state_or_array)
-    if policy == "copy1":
-        return q, p
-    if policy == "copy2":
-        return x, y
-    if policy == "mean":
-        return 0.5 * (q + x), 0.5 * (p + y)
-    raise ValueError(f"unknown projection policy {policy!r}; expected one of {PROJECTIONS}")
-
-
 def as_parts(state_or_array):
     """Normalize an ExtendedState or packed (..., 4, d) array to (q, p, x, y)."""
     if isinstance(state_or_array, ExtendedState):
@@ -110,11 +93,8 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    projection: str = "copy1"
 
     def __post_init__(self):
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"unknown projection policy {self.projection!r}")
         if len(self.times) != len(self.states):
             raise ValueError("times and states lengths differ")
 
@@ -129,6 +109,6 @@ class Trajectory:
         """Component series (q, p, x, y), each of shape (n, ..., d)."""
         return state_from_array(self.states)
 
-    def projected(self, policy: str | None = None):
-        """Reported (Q, P) series under the trajectory's (or given) policy."""
-        return project(self.states, policy or self.projection)
+    def projected(self):
+        """Reported (Q, P) series: the first copy (q, p), each of shape (n, ..., d)."""
+        return self.states[..., 0, :], self.states[..., 1, :]

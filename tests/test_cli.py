@@ -50,8 +50,6 @@ class TestConfigParsing:
     def test_validation_messages_name_keys(self):
         with pytest.raises(sx.ConfigError, match="order"):
             ExperimentConfig(order=3).validate()
-        with pytest.raises(sx.ConfigError, match="projection"):
-            ExperimentConfig(projection="copy3").validate()
         with pytest.raises(sx.ConfigError, match="system"):
             ExperimentConfig(system="pendulum").validate()
 
@@ -97,11 +95,18 @@ class TestIntegrateCommand:
         b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert a == b
 
-    def test_metadata_round_trips(self, tmp_path):
-        cfg_text = "system = product1d\nt_final = 1\ndelta = 0.05\nomega = 7\n"
+    @pytest.mark.parametrize("command, base, cfg_text", [
+        ("integrate", "trajectory", "system = product1d\nt_final = 1\ndelta = 0.05\nomega = 7\n"),
+        ("table", "table", "system = product1d\nt_final = 1\nomegas = 5,10\norder = 2\n"),
+        ("nls", "observables", "system = nls\nn_modes = 2\ndelta = 0.01\nomega = 50\nt_final = 0.5\norder = 2\n"),
+        ("compare", "compare", "system = schwarzschild\ndelta = 0.2\nomega = 2\nt_final = 2\norder = 2\n"),
+        ("poincare", "section", "system = product1d\nomega = 2\ngrid_q = -1:1:2\ngrid_p = -1:1:2\nmax_crossings = 3\n"),
+    ], ids=["integrate", "table", "nls", "compare", "poincare"])
+    def test_metadata_round_trips(self, tmp_path, command, base, cfg_text):
+        # Every subcommand's .meta re-parses to the config of its run.
         cfg = write_config(tmp_path, cfg_text)
-        main(["integrate", "--config", cfg, "--out", str(tmp_path)])
-        meta = (tmp_path / "trajectory.meta").read_text()
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        meta = (tmp_path / f"{base}.meta").read_text()
         assert parse_config_text(meta) == parse_config_text(cfg_text)
 
     def test_escape_abort_exit_code(self, tmp_path):
@@ -520,10 +525,11 @@ class TestPoincareWorkers:
 
 
 class TestScanFailures:
-    def test_failed_point_recorded_fit_on_survivors(self, tmp_path):
+    @pytest.mark.parametrize("bad_delta", ["-0.1", "0"])
+    def test_failed_point_recorded_fit_on_survivors(self, tmp_path, bad_delta):
         cfg = write_config(
             tmp_path,
-            "system = product1d\ndeltas = -0.1,0.02,0.01,0.005\nomega = 20\nt_final = 5\norder = 2\n",
+            f"system = product1d\ndeltas = {bad_delta},0.02,0.01,0.005\nomega = 20\nt_final = 5\norder = 2\n",
         )
         assert main(["table", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "table.csv").read_text().splitlines()[1:]

@@ -1,5 +1,6 @@
 """Flow maps, composition schemes, and stepping drivers."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,12 @@ class TestOneReportPerFault:
         }[entry]
         with pytest.raises(ValueError, match="empty batch"):
             call()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (0,), (1,)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_lane_omega_shape_checked(self, product, shape):
+        # One binding per lane of the 2-lane batch, or a scalar; anything else fails before the run.
+        with pytest.raises(ValueError, match=re.escape(f"omega has shape {shape} but the batch has lane shape (2,)")):
+            sx.integrate_batch(np.full((2, 1), -1.0), np.zeros((2, 1)), 0.1, np.ones(shape), 2, 2, product)
 
     def test_horizon_error_reads_the_same_from_step_and_run(self):
         model = sx.schwarzschild_hamiltonian()

@@ -25,6 +25,14 @@ It also records failed and attempted operations per side, each side's
 line count of ``src/sympext`` (as ``wc -l`` counts it) and the Python,
 numpy and scipy versions and the machine.
 
+After a workload's pairs, ``perfbench/run.py --setup-only`` runs twelve
+times per side, alternating which side goes first, with the seeds of the
+pairs in turn; the workload's ``setup_only`` holds each side's set-up
+seconds with their median and quartiles. A fresh process's set-up time is
+bimodal on a busy host, and these runs time nothing else, so they show
+whether a ``setup_s`` verdict comes from the change. They are a record
+beside the verdict, not a rule of it.
+
 Before the pairs, a micro table records microseconds per step of
 ``integrate_batch`` (one ``integrator._drive`` run of 256 order-4 steps at
 omega = 10, every step stored) at 1 to 1024 lanes, for the product
@@ -49,6 +57,7 @@ from pathlib import Path
 
 WORKLOADS = ("single_lane", "wide_batch", "cli_pipeline")
 PAIRS = 10
+SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_ROUNDS = 3
 # Prints {"<model>/<lanes>": us per step}; each cell is the median of 256-step runs repeated for 0.1 s.
@@ -92,15 +101,28 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "sympext").glob("*.py"))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def perfbench_line(tree: Path, workload: str, seed: int, *args: str) -> str:
+    """Last line of standard output of one ``perfbench/run.py`` run in ``tree``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *args]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    result = json.loads(perfbench_line(tree, workload, seed, "--seconds", str(seconds), "--trace", "0"))
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def setup_only(trees: dict, workload: str, seeds: list[int]) -> dict:
+    """Set-up seconds of fresh ``--setup-only`` processes per side, alternating which side goes first."""
+    values = {side: [] for side in trees}
+    for i in range(SETUP_ONLY_RUNS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            values[side].append(float(perfbench_line(trees[side], workload, seeds[i % len(seeds)], "--setup-only")))
+    return {"unit": "s", "runs_per_side": SETUP_ONLY_RUNS, **{side: describe(values[side]) for side in trees}}
 
 
 def micro_table(trees: dict, lanes=MICRO_LANES) -> dict:
@@ -196,6 +218,7 @@ def main(argv=None) -> int:
                     f"{side} wall_s {runs[side][-1]['wall_s']:.3f}" for side in ("parent", "change")),
                     file=sys.stderr, flush=True)
             results[workload] = summarize(runs, bench["end_to_end"])
+            results[workload]["setup_only"] = setup_only(trees, workload, [seed_base + i for i in range(PAIRS)])
     record = {"parent": revs["parent"], "change": revs["change"], "pairs": PAIRS, "run_seconds": seconds,
               "seeds": [seed_base, seed_base + PAIRS - 1], "versions": versions(),
               "src_lines": src_lines, "micro": micro, "workloads": results}

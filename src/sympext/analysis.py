@@ -359,9 +359,8 @@ def shell_momenta(model: HamiltonianModel, omega: float, shell: float, q: float,
 def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
     """Complete (q, p) grid points to on-shell extended states at x = 0.
 
-    Returns (states (B, 4, 1) array, skip records). Without an admissible
-    point it raises AdmissibilityError, whose ``partial`` is the section of
-    no trajectories holding the skip records.
+    Returns (states (B, 4, 1) array, skip records); raises
+    AdmissibilityError without an admissible point.
     """
     states = []
     skipped = []
@@ -372,10 +371,7 @@ def section_initial_conditions(model, ic_grid, omega, shell, max_lanes=None):
             continue
         states.extend([[q], [p], [0.0], [y]] for y in roots)
     if not states:
-        exc = AdmissibilityError("no admissible initial conditions on shell")
-        exc.partial = PoincareSection(shell, omega, np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int),
-                                      np.empty(0, dtype=int), 0, tuple(skipped), 0)
-        raise exc
+        raise AdmissibilityError("no admissible initial conditions on shell")
     states = np.asarray(states, dtype=float)
     if max_lanes is not None and len(states) > max_lanes:
         states = states[np.linspace(0, len(states) - 1, max_lanes).round().astype(int)]
@@ -455,7 +451,7 @@ def poincare_section(
 
     points, cross_arr, lane_arr = (np.concatenate(parts) for parts in zip(*found))
     # Canonical row order: by trajectory then crossing index, independent
-    # of how lanes interleaved in time (or were chunked across workers).
+    # of how lanes interleaved in time.
     order = np.lexsort((cross_arr, lane_arr))
     return PoincareSection(
         shell=shell,

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__, checks, oracles
 from .analysis import (
-    PoincareSection,
     chaos_statistic,
     classify_section,
     energy_drift,
@@ -27,7 +26,7 @@ from .analysis import (
     schwarzschild_scalings,
 )
 from .config import ExperimentConfig, _parse_values, apply_overrides, config_presets, dump_config, load_config
-from .errors import AdmissibilityError, ConfigError, DomainError, SympextError
+from .errors import ConfigError, DomainError, SympextError
 from .integrator import linear_drag, integrate
 from .models import default_initial_condition, extended_energy, get_model, nls_masses
 from .state import Trajectory
@@ -127,7 +126,7 @@ def _trajectory_header(d: int):
     return cols
 
 
-def cmd_integrate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_integrate(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = get_model(cfg.system, cfg.n_modes)
     base = cfg.out or "trajectory"
     notes = []
@@ -200,47 +199,15 @@ def cmd_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def _section_chunk(args):
-    """Section of one grid chunk; without an admissible seed, its section of no trajectories."""
-    cfg, chunk = args
+def cmd_poincare(cfg: ExperimentConfig, out_dir: Path) -> int:
     model = get_model(cfg.system, cfg.n_modes)
-    try:
-        return poincare_section(model, chunk, cfg.omega, cfg.shell, order=cfg.order, max_crossings=cfg.max_crossings)
-    except AdmissibilityError as exc:
-        return exc.partial
-
-
-def _merge_sections(sections):
-    """One section from the sections of consecutive grid chunks, trajectory ids offset in order."""
-    offsets = np.cumsum([0] + [sec.n_trajectories for sec in sections])
-    return PoincareSection(
-        shell=sections[0].shell,
-        omega=sections[0].omega,
-        points=np.concatenate([sec.points for sec in sections]),
-        y_values=np.concatenate([sec.y_values for sec in sections]),
-        crossing_index=np.concatenate([sec.crossing_index for sec in sections]),
-        trajectory_id=np.concatenate([sec.trajectory_id + off for sec, off in zip(sections, offsets)]),
-        n_trajectories=int(offsets[-1]),
-        skipped=tuple(rec for sec in sections for rec in sec.skipped),
-        dropped_crossings=sum(sec.dropped_crossings for sec in sections),
-    )
-
-
-def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    dim = get_model(cfg.system, cfg.n_modes).dim
+    dim = model.dim
     if dim != 1:
         raise ConfigError(f"poincare sections need a 1-dof system, got {cfg.system} with {dim} degrees of freedom")
     qlo, qhi, nq = cfg.grid_q
     plo, phi_, np_ = cfg.grid_p
     grid = [(qv, pv) for qv in np.linspace(qlo, qhi, int(nq)) for pv in np.linspace(plo, phi_, int(np_))]
-    # One contiguous grid chunk per worker; the ordered merge makes the
-    # output independent of the worker count (trajectories never interact,
-    # so chunking cannot change any lane).
-    bounds = np.linspace(0, len(grid), max(workers, 1) + 1).round().astype(int)
-    chunks = [(cfg, grid[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
-    section = _merge_sections(_map_ordered(_section_chunk, chunks, workers))
-    if not section.n_trajectories:
-        raise AdmissibilityError("no admissible initial conditions on shell")
+    section = poincare_section(model, grid, cfg.omega, cfg.shell, order=cfg.order, max_crossings=cfg.max_crossings)
     try:
         stat = chaos_statistic(section)
         stat_line = f"chaos statistic: {stat:.6f}"
@@ -265,7 +232,7 @@ def cmd_poincare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_nls(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_nls(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.system != "nls":
         raise ConfigError("the nls command needs system = nls")
     if cfg.resolved_steps() < 1:
@@ -298,7 +265,7 @@ def cmd_nls(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.system == "nls":
         raise ConfigError("compare supports the benchmarked systems: product1d, schwarzschild")
     model = get_model(cfg.system, cfg.n_modes)
@@ -395,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
         p.add_argument("--preset", type=str, default=None, help="named preset configuration")
         p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for scans")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes for table scans; the other subcommands run in one process")
         if name == "check":
             p.add_argument("--only", type=str, default=None, help="comma list of criterion numbers")
     return parser
@@ -434,14 +402,15 @@ def main(argv=None) -> int:
                     raise ConfigError(f"unknown criteria {sorted(unknown)}")
             return cmd_check(numbers, out_dir)
         cfg = _load(args)
+        if args.command == "table":
+            return cmd_table(cfg, out_dir, args.workers)
         handler = {
             "integrate": cmd_integrate,
-            "table": cmd_table,
             "poincare": cmd_poincare,
             "nls": cmd_nls,
             "compare": cmd_compare,
         }[args.command]
-        return handler(cfg, out_dir, args.workers)
+        return handler(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,10 +11,8 @@ class SympextError(Exception):
     the exact flows a Trajectory of the start state alone (empty if the
     start itself is not finite). A sample counts as stored only
     once it passed the escape check, so an escape leaves the offending
-    sample out of ``partial``. A section grid without an admissible seed
-    raises AdmissibilityError whose ``partial`` is the PoincareSection of
-    no trajectories, holding the skip records. ``partial`` stays None
-    otherwise, and for the other errors of ``poincare_section``.
+    sample out of ``partial``. ``partial`` stays None otherwise, and for
+    every error of ``poincare_section``.
     """
 
     partial = None

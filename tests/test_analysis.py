@@ -214,8 +214,9 @@ class TestPoincare:
 
     def test_unreachable_shell_rejected(self):
         model = sx.product_hamiltonian()
-        with pytest.raises(sx.AdmissibilityError, match="admissible"):
+        with pytest.raises(sx.AdmissibilityError, match="admissible") as err:
             sx.poincare_section(model, [(0.0, 0.0)], 1.0, 0.2)
+        assert err.value.partial is None
 
     def test_skip_reasons_recorded(self):
         model = sx.product_hamiltonian()

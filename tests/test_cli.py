@@ -3,16 +3,13 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sympext as sx
-from sympext.cli import _merge_sections, _section_chunk, main
+from sympext.cli import build_parser, main
 from sympext.config import ExperimentConfig, apply_overrides, config_presets, dump_config, parse_config_text
 
 
@@ -246,6 +243,14 @@ class TestTableCommand:
         assert sizes == [2]
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["integrate", "table", "nls", "compare", "poincare"])
+    def test_benchmark_subcommands_accept_workers(self, command):
+        # The benchmark's CLI workloads pass --workers 1 to each of these subcommands.
+        args = build_parser().parse_args([command, "--config", "run.cfg", "--out", "out", "--workers", "1"])
+        assert (args.command, args.workers) == (command, 1)
+
+
 class TestPoincareCommand:
     def test_section_files(self, tmp_path):
         cfg = write_config(
@@ -259,6 +264,16 @@ class TestPoincareCommand:
         assert len(rows) > 8
         meta = (tmp_path / "section.meta").read_text()
         assert "chaos statistic" in meta
+
+    def test_skipped_rows_recorded(self, tmp_path):
+        # The seeds at q = 2 and q = 5 have no momentum root on the shell; those at q = -1 do.
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nomega = 10\nshell = 10\n"
+            "grid_q = -1:5:3\ngrid_p = -0.5:0.5:2\nmax_crossings = 20\n",
+        )
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "section_skipped.csv").read_text().splitlines()) == 5
 
     def test_runs_without_scipy(self, tmp_path):
         # A None entry in sys.modules makes every scipy import fail.
@@ -474,54 +489,6 @@ class TestStartDimension:
         cfg = write_config(tmp_path, text + "delta = 0.1\nt_final = 1\n")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
-
-
-class TestPoincareWorkers:
-    def test_pool_matches_serial(self, tmp_path):
-        text = (
-            "system = product1d\nomega = 2\nshell = 10\n"
-            "grid_q = -1:1:2\ngrid_p = -1.5:1.5:3\nmax_crossings = 15\n"
-        )
-        cfg = write_config(tmp_path, text)
-        main(["poincare", "--config", cfg, "--out", str(tmp_path / "serial")])
-        main(["poincare", "--config", cfg, "--out", str(tmp_path / "pool"), "--workers", "3"])
-        assert (tmp_path / "serial" / "section.csv").read_bytes() == (
-            tmp_path / "pool" / "section.csv"
-        ).read_bytes()
-
-
-    def test_skipped_rows_independent_of_workers(self, tmp_path):
-        # Two of the three chunks at three workers hold only inadmissible seeds (q = 2 and q = 5).
-        cfg = write_config(
-            tmp_path,
-            "system = product1d\nomega = 10\nshell = 10\n"
-            "grid_q = -1:5:3\ngrid_p = -0.5:0.5:2\nmax_crossings = 20\n",
-        )
-        outputs = []
-        for workers in ("1", "2", "3"):
-            out = tmp_path / workers
-            assert main(["poincare", "--config", cfg, "--out", str(out), "--workers", workers]) == 0
-            outputs.append([(out / f"section{suffix}").read_bytes() for suffix in (".csv", "_skipped.csv", ".meta")])
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert len(outputs[0][1].splitlines()) == 5
-
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(
-        grid=st.lists(st.tuples(st.sampled_from((-2.0, -1.0, 0.0, 0.5, 2.0)), st.sampled_from((-0.5, 0.0, 0.5, 1.0))),
-                      min_size=1, max_size=4),
-        cuts=st.sets(st.integers(1, 3)),
-    )
-    def test_merged_chunks_equal_one_section(self, grid, cuts):
-        cfg = sx.ExperimentConfig(omega=10.0, shell=10.0, max_crossings=8)
-        bounds = [0, *sorted(c for c in cuts if c < len(grid)), len(grid)]
-        whole = _section_chunk((cfg, grid))
-        merged = _merge_sections([_section_chunk((cfg, grid[a:b])) for a, b in zip(bounds, bounds[1:])])
-        for f in fields(whole):
-            a, b = getattr(whole, f.name), getattr(merged, f.name)
-            if isinstance(a, np.ndarray):
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
-            else:
-                assert a == b, f.name
 
 
 class TestScanFailures:

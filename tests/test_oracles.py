@@ -267,6 +267,28 @@ class TestReferenceFlow:
         assert_finite_partial(err, np.linspace(0.0, 10.0, 11))
 
 
+class TestCopySymmetry:
+    """The doubled Hamiltonian is unchanged when the copies swap, (q, p, x, y) -> (x, y, q, p).
+
+    Its exact flow therefore keeps q = x and p = y from the embedded start,
+    while the split step does not (the swap turns ABCBA into BACAB). The
+    copy distance that criterion 5 reads is then discretization error only.
+    """
+
+    @pytest.mark.parametrize("omega", [20.0, 160.0])
+    def test_reference_keeps_copies_equal(self, omega):
+        ext = sx.extended_model(sx.product_hamiltonian(), omega)
+        ref = sx.reference_flow(ext, np.array([-3.0, -3.0]), np.array([0.0, 0.0]), 1.0, n_samples=10)
+        assert np.max(np.abs(ref.Q[:, 0] - ref.Q[:, 1])) == 0.0
+        assert np.max(np.abs(ref.P[:, 0] - ref.P[:, 1])) == 0.0
+
+    @pytest.mark.parametrize("omega", [20.0, 160.0])
+    def test_split_step_separates_copies(self, omega):
+        cfg = sx.IntegratorConfig(delta=0.01, omega=omega, order=4, n_steps=100)
+        q, p, x, y = sx.integrate(np.array([-3.0]), np.array([0.0]), cfg, sx.product_hamiltonian()).parts()
+        assert np.max(np.abs(q - x)) > 0.0
+
+
 class TestReferenceDissipative:
     def test_zero_drag_matches_conservative(self):
         m = sx.product_hamiltonian()

@@ -407,7 +407,10 @@ def poincare_section(
     ``_CROSSING_TOL``. Refined states off the shell by more than
     ``_SHELL_RTOL`` are dropped and counted. A lane takes its crossings in
     time order until it holds ``max_crossings``; a lane that turns
-    non-finite aborts the section with TrajectoryEscapedError.
+    non-finite before that aborts the section with TrajectoryEscapedError.
+    A full lane stops stepping at the end of its chunk of
+    ``_SECTION_CHUNK`` steps, so it no longer aborts the section if it
+    would turn non-finite later.
     """
     if model.dim != 1:
         raise ValueError("section extraction is implemented for 1-dof models")
@@ -421,19 +424,21 @@ def poincare_section(
     shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
     found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]
+    states = states.copy()  # found[0] keeps the starts
     counts = np.ones(n_lanes, dtype=int)
     dropped = 0
     done = 0
     while done < max_steps and np.any(counts < max_crossings):
         n = min(_SECTION_CHUNK, max_steps - done)
+        active = np.flatnonzero(counts < max_crossings)
         try:
-            run = _drive(kernel, np.moveaxis(states, 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
+            run = _drive(kernel, np.moveaxis(states[active], 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
         except SympextError as exc:
             raise type(exc)(f"section steps {done}-{done + n}: {exc}") from None
         done += n
-        states = run[-1]
+        states[active] = run[-1]
         x = run[:, :, 2, 0]
-        steps, lanes = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0) & (counts < max_crossings))
+        steps, lanes = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))  # lanes of the run, numbered in ``active``
         z0, z1 = run[steps, lanes], run[steps + 1, lanes]
         d0, d1 = (np.stack(extended_vector_field(model, omega, *state_from_array(z)), axis=1) for z in (z0, z1))
         theta = _hermite_root(z0[:, 2, 0], z1[:, 2, 0], d0[:, 2, 0], d1[:, 2, 0], delta, _CROSSING_TOL)
@@ -442,12 +447,12 @@ def poincare_section(
         kept = np.zeros(x[1:].shape, dtype=int)
         kept[steps, lanes] = on_shell
         # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
-        held = (counts + np.cumsum(kept, axis=0) - kept)[steps, lanes]
+        held = (counts[active] + np.cumsum(kept, axis=0) - kept)[steps, lanes]
         met = held < max_crossings
         take = met & on_shell
         dropped += int(np.sum(met & ~on_shell))
-        found.append((points[take], held[take], lanes[take]))
-        counts = np.minimum(counts + kept.sum(axis=0), max_crossings)
+        found.append((points[take], held[take], active[lanes[take]]))
+        counts[active] = np.minimum(counts[active] + kept.sum(axis=0), max_crossings)
 
     points, cross_arr, lane_arr = (np.concatenate(parts) for parts in zip(*found))
     # Canonical row order: by trajectory then crossing index, independent

@@ -11,8 +11,11 @@ class SympextError(Exception):
     the exact flows a Trajectory of the start state alone (empty if the
     start itself is not finite). A sample counts as stored only
     once it passed the escape check, so an escape leaves the offending
-    sample out of ``partial``. ``partial`` stays None otherwise, and for
-    every error of ``poincare_section``.
+    sample out of ``partial``. A run on Python floats checks its samples
+    once per block of steps, but reports as if it checked each one: the
+    first offending sample, and that escape rather than any error raised
+    after it. ``partial`` stays None otherwise, and for every error of
+    ``poincare_section``.
     """
 
     partial = None

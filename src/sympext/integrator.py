@@ -298,13 +298,26 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
 
 # Widest batch that a lanewise step advances lane by lane on Python floats;
 # wider batches step as numpy columns. Microseconds per order-4 step at
-# omega = 10, columns -> floats (2-CPU Xeon, Python 3.11, numpy 2.4):
+# omega = 10, every step stored, columns -> floats (2-CPU Xeon, Python 3.11,
+# numpy 2.4, fastest of three rounds):
 #   lanes            8          16          20          24          32
-#   product     82 -> 30    83 -> 57    85 -> 70    88 -> 82    85 -> 108
-#   2-mode     319 -> 149  347 -> 296  352 -> 372  362 -> 444  334 -> 612
+#   product     81 -> 26    79 -> 54    80 -> 64    85 -> 78    83 -> 107
+#   2-mode     322 -> 145  346 -> 289  345 -> 367  323 -> 429  322 -> 578
 _NARROW_LANES = 16
 
+# Steps between two escape checks of a lanewise float run (the check waits for
+# a sample): its samples are checked together, one reduction per block.
+_CHECK_BLOCK = 256
+
 _EMPTY_BATCH = "empty batch: a run needs at least one lane"
+
+
+def _first_escape(out, first, stop, escape_bound) -> int:
+    """Index of the first of the samples out[first:stop] beyond the bound or NaN; ``stop`` if none."""
+    block = np.abs(out[first:stop])
+    if first == stop or block.max() <= escape_bound:  # false for NaN
+        return stop
+    return first + int(np.argmin(block.reshape(len(block), -1).max(axis=1) <= escape_bound))
 
 
 def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, observers=()):
@@ -312,17 +325,27 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
 
     Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` calls
     z = kernel(z, t), stores every ``stride``-th state (the final state
-    always included) in its (..., n_blocks, d) output row, checks that row
+    always included) in its (..., n_blocks, d) output row, checks the rows
     against the escape bound and calls each observer as observer(t, state)
-    there, with a view of the row. A sample counts as stored once it passed
-    the check. Returns wrap(times, states); any SympextError raised on the
-    way leaves with wrap of the stored samples attached as ``partial``.
+    at each sample, with a view of its row. A sample counts as stored once
+    it passed the check. Returns wrap(times, states); any SympextError
+    raised on the way leaves with wrap of the stored samples attached as
+    ``partial``.
 
     One lane runs as Python floats. A batch of at most ``_NARROW_LANES``
     lanes of a ``lanewise`` kernel runs as one float list per lane, all
     lanes stepped in lockstep; any other batch runs as one numpy column per
     component. Each operation is elementwise in all three layouts, so they
     store the same bits.
+
+    The start is checked at once. A lanewise kernel on floats without
+    observers then checks its pending rows together at the first sample
+    ``_CHECK_BLOCK`` or more steps after the previous check, and at the
+    end; any other run checks each row as it is stored, so a column never
+    steps past an escape. Either way the error names the first
+    offending sample, and a step that raises after an unchecked escape
+    reports that escape instead, so the error and ``partial`` are those of
+    a check at every sample.
     """
     sample_at = _sample_indices(n_steps, stride)
     times = t0 + delta * np.asarray(sample_at, dtype=float)
@@ -342,26 +365,39 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     else:
         rows = np.moveaxis(out.reshape(out.shape[:-2] + (width,)), -1, 1)
         z = unstack(start.reshape(start.shape[:-2] + (width,)))
+    # A lanewise step on floats runs past an escape without numpy warnings; observers must see checked rows.
+    block = _CHECK_BLOCK if kernel.lanewise and n_lanes <= _NARROW_LANES and not observers else 1
 
-    n_stored = 0
+    n_stored = n_checked = next_check = 0  # rows written; rows of them within the bound; step of the next check
     try:
         for k in range(n_steps + 1):
             if k:
-                z = step(z, t0 + (k - 1) * delta)
+                try:
+                    z = step(z, t0 + (k - 1) * delta)
+                except Exception:
+                    n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
+                    if n_checked == n_stored:
+                        raise
+                    break  # an unchecked escape came first
             if k != sample_at[n_stored]:
                 continue
             rows[n_stored] = z
-            biggest = np.abs(out[n_stored]).max()
-            if not biggest <= escape_bound:  # also true for NaN, reported as inf
-                raise TrajectoryEscapedError(
-                    f"trajectory escaped: max |state| = {math.inf if math.isnan(biggest) else biggest:.3e} "
-                    f"exceeds bound {escape_bound:.3e} at step {k}"
-                )
             n_stored += 1
+            if k >= next_check:
+                n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
+                if n_checked < n_stored:
+                    break
+                next_check = min(k + block, n_steps)
             for obs in observers:
                 obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
+        if n_checked < n_stored:
+            biggest = np.abs(out[n_checked]).max()
+            raise TrajectoryEscapedError(
+                f"trajectory escaped: max |state| = {math.inf if math.isnan(biggest) else biggest:.3e} "
+                f"exceeds bound {escape_bound:.3e} at step {sample_at[n_checked]}"
+            )
     except SympextError as exc:
-        exc.partial = wrap(times[:n_stored].copy(), out[:n_stored].copy())
+        exc.partial = wrap(times[:n_checked].copy(), out[:n_checked].copy())
         raise
     return wrap(times, out)
 

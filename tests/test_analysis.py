@@ -244,6 +244,30 @@ class TestPoincare:
             sx.poincare_section(blowup, [(1.0, 0.0)], 0.0, 1.0, max_crossings=5, max_steps=2_000)
         assert err.value.partial is None
 
+    def test_full_lanes_stop_stepping(self):
+        # Each seed's lanes fill after their own number of chunks; a section of both steps no lane further.
+        product = sx.product_hamiltonian()
+        float_calls = [0]
+
+        def grad_components(a, b):
+            float_calls[0] += isinstance(a, float)  # the stepping lanes; the crossing refinement uses columns
+            return product.grad_components(a, b)
+
+        counted = sx.HamiltonianModel("counted", 1, product.value, grad_components=grad_components)
+        calls, sections = [], []
+        for grid in ([(0.0, 0.0)], [(-0.5, -0.5)], [(0.0, 0.0), (-0.5, -0.5)]):
+            float_calls[0] = 0
+            sections.append(sx.poincare_section(counted, grid, 10.0, 10.0, max_crossings=20))
+            calls.append(float_calls[0])
+        alone_a, alone_b, both = calls
+        assert alone_a != alone_b
+        assert both == alone_a + alone_b
+        a, b, ab = sections
+        np.testing.assert_array_equal(ab.points, np.concatenate([a.points, b.points]))
+        np.testing.assert_array_equal(ab.trajectory_id, np.concatenate([a.trajectory_id, b.trajectory_id + 2]))
+        # Crossing 0 of each lane is its seed: the stepping leaves the start states alone.
+        np.testing.assert_array_equal(ab.points[ab.crossing_index == 0], [[0.0, 0.0]] * 2 + [[-0.5, -0.5]] * 2)
+
     def test_requires_one_dof_model(self):
         with pytest.raises(ValueError, match="1-dof"):
             sx.poincare_section(sx.nls_hamiltonian(2), [(0.0, 0.0)], 1.0, 10.0)

@@ -1,6 +1,7 @@
 """Flow maps, composition schemes, and stepping drivers."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,93 @@ class TestOneReportPerFault:
         # One binding per lane of the 2-lane batch, or a scalar; anything else fails before the run.
         with pytest.raises(ValueError, match=re.escape(f"omega has shape {shape} but the batch has lane shape (2,)")):
             sx.integrate_batch(np.full((2, 1), -1.0), np.zeros((2, 1)), 0.1, np.ones(shape), 2, 2, product)
+
+    @staticmethod
+    def drift_model(limit=math.inf):
+        """H(a, b) = b on floats: each order-2 step at delta = 1 moves q and x up by one.
+
+        The gradient raises DomainError once a stage sees a position beyond ``limit``.
+        """
+        def grad_components(a, b):
+            if a > limit:
+                raise sx.DomainError(f"position {a} beyond {limit}")
+            return (0.0,), (1.0,)
+
+        return sx.HamiltonianModel("drift", 1, value=lambda a, b: b[..., 0], grad_components=grad_components)
+
+    @staticmethod
+    def drift_run(lanes, n_steps, stride, escape_bound, model, observers=()):
+        """A drift run on one lane or a narrow batch; the leading lane holds q = 1 + step at each sample."""
+        Q0 = np.array([[1.0], [0.5], [0.25]])[:lanes]
+        if lanes == 1:
+            cfg = sx.IntegratorConfig(1.0, 0.0, 2, n_steps)
+            return sx.integrate(Q0[0], [0.0], cfg, model, observers, stride=stride, escape_bound=escape_bound)
+        return sx.integrate_batch(Q0, np.zeros_like(Q0), 1.0, 0.0, 2, n_steps, model,
+                                  stride=stride, escape_bound=escape_bound)
+
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("sample", [0, 1, 255, 256, 257, -1])
+    def test_blocked_check_reports_as_a_check_per_sample(self, lanes, stride, sample):
+        model, n_steps = self.drift_model(), 800
+        full = self.drift_run(lanes, n_steps, stride, math.inf, model)
+        sample %= len(full)
+        bound = full.times[sample] + 0.5  # sample j holds 1 + its step: it is the first beyond the bound
+        # The reference checks every sample, as the columns do.
+        biggest = [np.abs(s).max() for s in full.states]
+        first = next(j for j, b in enumerate(biggest) if not b <= bound)
+        assert first == sample
+        with pytest.raises(sx.TrajectoryEscapedError) as err:
+            self.drift_run(lanes, n_steps, stride, bound, model)
+        assert str(err.value) == (f"trajectory escaped: max |state| = {biggest[first]:.3e} "
+                                  f"exceeds bound {bound:.3e} at step {full.times[first]:.0f}")
+        np.testing.assert_array_equal(err.value.partial.times, full.times[:first])
+        np.testing.assert_array_equal(err.value.partial.states, full.states[:first])
+
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    def test_escape_before_a_raising_step_wins(self, lanes):
+        # Sample 5 holds q = 6, beyond the bound 5.5; the gradient raises in step 9, where a stage sees x = 9.5.
+        with pytest.raises(sx.TrajectoryEscapedError, match=r"at step 5$") as err:
+            self.drift_run(lanes, 800, 1, 5.5, self.drift_model(limit=9.0))
+        assert len(err.value.partial) == 5
+        assert np.abs(err.value.partial.states).max() == 5.0
+
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    def test_other_error_keeps_every_stored_sample(self, lanes):
+        # Step 9 sees x = 9.5 > 9 and raises; the samples of steps 0-8 were stored before it.
+        with pytest.raises(sx.DomainError, match="beyond 9") as err:
+            self.drift_run(lanes, 800, 1, 1e12, self.drift_model(limit=9.0))
+        full = self.drift_run(lanes, 8, 1, math.inf, self.drift_model())
+        np.testing.assert_array_equal(err.value.partial.times, full.times)
+        np.testing.assert_array_equal(err.value.partial.states, full.states)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_observers_see_every_sample_once_in_order(self, stride):
+        seen = []
+        observer = lambda t, s: seen.append((t, s.to_array().copy()))  # noqa: E731
+        traj = self.drift_run(1, 600, stride, math.inf, self.drift_model(), [observer])
+        np.testing.assert_array_equal([t for t, _ in seen], traj.times)
+        np.testing.assert_array_equal(np.stack([s for _, s in seen]), traj.states)
+        seen.clear()
+        with pytest.raises(sx.TrajectoryEscapedError) as err:
+            self.drift_run(1, 600, stride, 300.0, self.drift_model(), [observer])
+        np.testing.assert_array_equal([t for t, _ in seen], err.value.partial.times)
+
+    @pytest.mark.parametrize("name", ["product1d", "nls"])
+    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    def test_escaping_builtin_model_emits_no_runtime_warning(self, name, lanes):
+        # A start of 1e100 overflows to inf and then NaN in its first steps; the run goes on to its check.
+        model = sx.get_model(name)
+        Q0 = np.full((lanes, model.dim), 1e100)
+        P0 = np.full((lanes, model.dim), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sx.TrajectoryEscapedError, match=r"at step 1$") as err:
+                if lanes == 1:
+                    sx.integrate(Q0[0], P0[0], sx.IntegratorConfig(0.1, 1.0, 4, 300), model, escape_bound=1e150)
+                else:
+                    sx.integrate_batch(Q0, P0, 0.1, 1.0, 4, 300, model, escape_bound=1e150)
+        assert len(err.value.partial) == 1
 
     def test_horizon_error_reads_the_same_from_step_and_run(self):
         model = sx.schwarzschild_hamiltonian()

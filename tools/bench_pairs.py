@@ -35,10 +35,12 @@ beside the verdict, not a rule of it.
 
 Before the pairs, a micro table records microseconds per step of
 ``integrate_batch`` (one ``integrator._drive`` run of 256 order-4 steps at
-omega = 10, every step stored) at 1 to 1024 lanes, for the product
-oscillator (d = 1) and the 2-mode system (d = 2): each of three rounds
-runs one process per side, alternating which side goes first, and the
-table holds each side's median over the rounds. It is a record of
+omega = 10) at 1 to 1024 lanes, for the product oscillator (d = 1) and the
+2-mode system (d = 2). Cell ``<model>/<lanes>`` stores every step; cell
+``<model>/<lanes>/stride100`` stores every hundredth, so the gap between
+the two is the cost of storing and checking the samples. Each of three
+rounds runs one process per side, alternating which side goes first, and
+the table holds each side's median over the rounds. It is a record of
 lane-step cost, not a gate.
 """
 from __future__ import annotations
@@ -60,7 +62,7 @@ PAIRS = 10
 SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>": us per step}; each cell is the median of 256-step runs repeated for 0.1 s.
+# Prints {"<model>/<lanes>[/stride100]": us per step}; each cell is the median of 256-step runs repeated for 0.1 s.
 MICRO_SCRIPT = """
 import json, statistics, sys, time
 import numpy as np
@@ -74,12 +76,13 @@ for name, model, q0, p0 in (("product", sx.product_hamiltonian(), [-3.0], [0.0])
         Q = np.asarray(q0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(q0)))
         P = np.asarray(p0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(p0)))
         sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model)  # compiles the step kernel
-        runs = []
-        while len(runs) < 3 or sum(runs) < 0.1:
-            start = time.perf_counter()
-            sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model)
-            runs.append(time.perf_counter() - start)
-        cells[f"{name}/{lanes}"] = 1e6 * statistics.median(runs) / 256
+        for stride, suffix in ((1, ""), (100, "/stride100")):
+            runs = []
+            while len(runs) < 3 or sum(runs) < 0.1:
+                start = time.perf_counter()
+                sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model, stride=stride)
+                runs.append(time.perf_counter() - start)
+            cells[f"{name}/{lanes}{suffix}"] = 1e6 * statistics.median(runs) / 256
 print(json.dumps(cells))
 """
 

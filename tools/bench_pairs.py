@@ -38,10 +38,11 @@ Before the pairs, a micro table records microseconds per step of
 omega = 10) at 1 to 1024 lanes, for the product oscillator (d = 1) and the
 2-mode system (d = 2). Cell ``<model>/<lanes>`` stores every step; cell
 ``<model>/<lanes>/stride100`` stores every hundredth, so the gap between
-the two is the cost of storing and checking the samples. Each of three
-rounds runs one process per side, alternating which side goes first, and
-the table holds each side's median over the rounds. It is a record of
-lane-step cost, not a gate.
+the two is the cost of storing and checking the samples. A cell is the
+fastest of the runs of one process, which a busy host disturbs less than
+their median. Each of three rounds runs one process per side, alternating
+which side goes first, and the table holds each side's median over the
+rounds. It is a record of lane-step cost, not a gate.
 """
 from __future__ import annotations
 
@@ -62,9 +63,9 @@ PAIRS = 10
 SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100]": us per step}; each cell is the median of 256-step runs repeated for 0.1 s.
+# Prints {"<model>/<lanes>[/stride100]": us per step}; each cell is the fastest of 256-step runs repeated for 0.1 s.
 MICRO_SCRIPT = """
-import json, statistics, sys, time
+import json, sys, time
 import numpy as np
 import sympext as sx
 
@@ -82,7 +83,7 @@ for name, model, q0, p0 in (("product", sx.product_hamiltonian(), [-3.0], [0.0])
                 start = time.perf_counter()
                 sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model, stride=stride)
                 runs.append(time.perf_counter() - start)
-            cells[f"{name}/{lanes}{suffix}"] = 1e6 * statistics.median(runs) / 256
+            cells[f"{name}/{lanes}{suffix}"] = 1e6 * min(runs) / 256
 print(json.dumps(cells))
 """
 

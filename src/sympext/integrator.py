@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SympextError, TrajectoryEscapedError
-from .models import HamiltonianModel
+from .models import HamiltonianModel, _compile
 from .state import ExtendedState, Trajectory, embed, stack, state_from_array, unstack
 
 # Escape bound of RK4 runs and sections: the escape check in _drive then refuses exactly the non-finite samples.
@@ -125,34 +125,38 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
 # -- the generated step kernel ---------------------------------------------
 #
 # One step of a composition is straight-line Python over the 4d lane
-# variables q0..q{d-1}, p0.., x0.., y0.., one source line per stage. The same
-# source runs on Python floats (one lane at a time) and on numpy columns (a
-# batch): every operation is elementwise and in the order of the (..., d)
+# variables q0..q{d-1}, p0.., x0.., y0.., a few source lines per stage. The
+# same source runs on Python floats (one lane at a time) and on numpy columns
+# (a batch): every operation is elementwise and in the order of the (..., d)
 # array formulas, so both give the bits of the array arithmetic. The compiled
-# source depends only on the stage kinds, d and whether a force is present;
-# substeps and rotations are closure constants bound per call.
+# source depends only on the stage kinds, d, whether a force is present and
+# the model's gradient source; substeps and rotations are closure constants
+# bound per call.
 
 
-def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
-    """Source line of stage k: one exact flow over the lane variables."""
+def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None) -> list[str]:
+    """Source lines of stage k: one exact flow over the lane variables."""
     q, p, x, y = ([f"{c}{i}" for i in range(d)] for c in "qpxy")
     h = f"h{k}"
     if kind == "C":
         c, s = f"c{k}", f"s{k}"
-        return "; ".join(
+        return ["; ".join(
             f"u = {q[i]} - {x[i]}; v = {p[i]} - {y[i]}; su = {q[i]} + {x[i]}; sv = {p[i]} + {y[i]}; "
             f"ru = {c} * u + {s} * v; rv = {c} * v - {s} * u; "
             f"{q[i]} = 0.5 * (su + ru); {p[i]} = 0.5 * (sv + rv); "
             f"{x[i]} = 0.5 * (su - ru); {y[i]} = 0.5 * (sv - rv)"
             for i in range(d)
-        )
+        )]
     if kind == "-":
-        return "pass"  # a rotation by a zero angle
+        return ["pass"]  # a rotation by a zero angle
     # A: H(q, y) kicks p and drifts x; B: H(x, p) drifts q and kicks y.
     pos, mom, kicked, drifted, clock = (q, y, p, x, "ta") if kind == "A" else (x, p, y, q, "tb")
-    ga, gb, f = ([f"{c}{i}" for i in range(d)] for c in "abf")
-    args = ", ".join(pos + mom)
-    parts = [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
+    a, b, ga, gb, f = ([f"{c}{i}" for i in range(d)] for c in ("a", "b", "ga", "gb", "f"))
+    args = ", ".join(a + b)
+    lines = ["; ".join(f"{u} = {v}" for u, v in zip(a + b, pos + mom))]
+    # The model's gradient source, spliced, or one call of its gradient function.
+    lines += source.splitlines() if source else [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
+    parts = []
     if forced:
         parts.append(f"({', '.join(f)},) = F({args}, {clock})")
         parts += [f"{kicked[i]} = {kicked[i]} + {h} * ({f[i]} - {ga[i]})" for i in range(d)]
@@ -161,15 +165,17 @@ def _stage_source(k: int, kind: str, d: int, forced: bool) -> str:
     parts += [f"{drifted[i]} = {drifted[i]} + {h} * {gb[i]}" for i in range(d)]
     if forced:
         parts.append(f"{clock} = {clock} + {h}")
-    return "; ".join(parts)
+    return lines + ["; ".join(parts)]
 
 
 @functools.cache
-def _step_factory(kinds: str, d: int, forced: bool):
+def _step_factory(kinds: str, d: int, forced: bool, source: str | None):
     """Compiled factory of the step function for one stage-kind sequence.
 
     ``kinds`` has one letter per stage, "-" for a rotation that a zero
-    binding skips. The factory takes the gradient components G, the force
+    binding skips. ``source`` is the model's gradient source
+    (``models._gradient``), spliced into each A and B stage, or None to call
+    G instead. The factory takes the gradient components G, the force
     components F, the substeps h0.. and the cos/sin pairs of the rotations.
     """
     lanes = ", ".join(f"{c}{i}" for c in "qpxy" for i in range(d))
@@ -180,11 +186,9 @@ def _step_factory(kinds: str, d: int, forced: bool):
         f"        {lanes} = z",
         "        ta = tb = t",
     ]
-    lines += ["        " + _stage_source(k, kind, d, forced) for k, kind in enumerate(kinds)]
+    lines += ["        " + line for k, kind in enumerate(kinds) for line in _stage_source(k, kind, d, forced, source)]
     lines += [f"        return {lanes}", "    return step"]
-    namespace = {}
-    exec(compile("\n".join(lines), f"<sympext step {kinds} d={d}>", "exec"), namespace)
-    return namespace["factory"]
+    return _compile(lines, f"<sympext step {kinds} d={d}>")["factory"]
 
 
 def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, model: HamiltonianModel | None, force=None):
@@ -216,7 +220,8 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, model: Hamil
                 rotations += [math.cos(ang), math.sin(ang)]
         kinds.append(kind)
     forces = None if force is None else _packed_force(force, d)
-    step = _step_factory("".join(kinds), d, force is not None)(grad, forces, *substeps, *rotations)
+    source = getattr(grad, "_source", None)
+    step = _step_factory("".join(kinds), d, force is not None, source)(grad, forces, *substeps, *rotations)
     return _lanewise(step, model, omega, force)
 
 

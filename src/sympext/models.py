@@ -8,6 +8,7 @@ broadcast over leading batch axes; the trailing axis has length ``dim``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +22,7 @@ Array = np.ndarray
 MODEL_NAMES = ("product1d", "schwarzschild", "nls")
 
 _HORIZON_MARGIN = 1e-9
+_INSIDE_HORIZON = "inside horizon: Schwarzschild model needs r > 2"
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,11 @@ class HamiltonianModel:
 
     A component form must fail the way numpy arrays do: it may not raise
     OverflowError or ZeroDivisionError where numpy would give inf or NaN.
+
+    A built-in model states its gradient once, as source (``_gradient``):
+    the step kernel splices it into each A and B stage, and its
+    ``grad_components`` is that source compiled. The step calls any other
+    gradient once per A or B stage.
     """
 
     name: str
@@ -60,6 +67,28 @@ class HamiltonianModel:
         return self.grad_a(a, b), self.grad_b(a, b)
 
 
+def _compile(lines: Sequence[str], filename: str) -> dict:
+    """Namespace of generated source; the source may use ``np`` and ``DomainError``."""
+    namespace = {"np": np, "DomainError": DomainError}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _gradient(source: str, d: int):
+    """``grad_components`` compiled once per straight-line source, which it carries as ``_source``.
+
+    The source reads a0..a{d-1} and b0..b{d-1} and assigns ga0.. and gb0..;
+    its temporaries start with "_", so the step kernel can splice it into a stage.
+    """
+    a, b, ga, gb = ([f"{c}{i}" for i in range(d)] for c in ("a", "b", "ga", "gb"))
+    lines = [f"def grad({', '.join(a + b)}):", *("    " + line for line in source.splitlines()),
+             f"    return ({', '.join(ga)},), ({', '.join(gb)},)"]
+    grad = _compile(lines, f"<sympext gradient d={d}>")["grad"]
+    grad._source = source
+    return grad
+
+
 def product_hamiltonian() -> HamiltonianModel:
     """1-dof oscillator H(a, b) = (a^2 + 1)(b^2 + 1) / 2.
 
@@ -70,26 +99,25 @@ def product_hamiltonian() -> HamiltonianModel:
     def value(a, b):
         return 0.5 * (a[..., 0] ** 2 + 1.0) * (b[..., 0] ** 2 + 1.0)
 
-    def grad_components(a, b):
-        return (a * (b * b + 1.0),), (b * (a * a + 1.0),)
-
-    return HamiltonianModel("product1d", 1, value, grad_components=grad_components)
+    grad = _gradient("ga0 = a0 * (b0 * b0 + 1.0); gb0 = b0 * (a0 * a0 + 1.0)", 1)
+    return HamiltonianModel("product1d", 1, value, grad_components=grad)
 
 
 def _require_outside_horizon(r):
     ok = r > 2.0 + _HORIZON_MARGIN
     if ok is not True and not np.all(ok):
-        raise DomainError("inside horizon: Schwarzschild model needs r > 2")
+        raise DomainError(_INSIDE_HORIZON)
 
 
-def _cube(r):
-    """r**3 through numpy's power loop, so that floats and columns give the same bits.
-
-    A Python float ``r ** 3`` goes to the C library's pow, which rounds
-    differently in some cases, and raises OverflowError where numpy gives inf.
-    """
-    c = np.power(r, 3)
-    return c if c.ndim else float(c)
+# (t, r, phi) = a0..a2 and (p_t, p_r, p_phi) = b0..b2. The cube goes through
+# numpy's power loop, so that floats and columns give the same bits: a Python
+# float ``r ** 3`` goes to the C library's pow, which rounds differently in
+# some cases, and raises OverflowError where numpy gives inf.
+_SCHWARZSCHILD = f"""_ok = a1 > {2.0 + _HORIZON_MARGIN!r}
+if _ok is not True and not np.all(_ok): raise DomainError({_INSIDE_HORIZON!r})
+_u = 1.0 - 2.0 / a1; _du = 2.0 / (a1 * a1); _vt = b0 / _u; _c = np.power(a1, 3)
+ga0 = ga2 = 0.0; ga1 = 0.5 * (-_du * (_vt * _vt) - _du * (b1 * b1)) + b2 * b2 / (_c if _c.ndim else float(_c))
+gb0 = _vt; gb1 = -_u * b1; gb2 = -b2 / (a1 * a1)"""
 
 
 def schwarzschild_hamiltonian() -> HamiltonianModel:
@@ -110,15 +138,24 @@ def schwarzschild_hamiltonian() -> HamiltonianModel:
         u = 1.0 - 2.0 / r
         return 0.5 * (b[..., 0] ** 2 / u - u * b[..., 1] ** 2 - b[..., 2] ** 2 / r**2)
 
-    def grad_components(t, r, phi, pt, pr, pphi):
-        _require_outside_horizon(r)
-        u = 1.0 - 2.0 / r
-        du = 2.0 / (r * r)
-        vt = pt / u
-        gr = 0.5 * (-du * (vt * vt) - du * (pr * pr)) + pphi * pphi / _cube(r)
-        return (0.0, gr, 0.0), (vt, -u * pr, -pphi / (r * r))
+    return HamiltonianModel("schwarzschild", 3, value, grad_components=_gradient(_SCHWARZSCHILD, 3))
 
-    return HamiltonianModel("schwarzschild", 3, value, grad_components=grad_components)
+
+@functools.cache
+def _nls_source(n_modes: int) -> str:
+    """Straight-line gradient source of the n-mode system, q = a and p = b."""
+    lines = [f"_r = a{i} * a{i} + b{i} * b{i}; ga{i} = _r * a{i}; gb{i} = _r * b{i}" for i in range(n_modes)]
+    # Each mode takes the coupling term of its right neighbor before the one
+    # of its left neighbor; walking the bonds downward keeps that order.
+    for m, n in ((i - 1, i) for i in range(n_modes - 1, 0, -1)):
+        lines += [
+            f"_pp = b{m} * b{n}; _qq = a{m} * a{n}",
+            f"ga{m} = ga{m} - (2.0 * a{m} * (a{n} * a{n} - b{n} * b{n}) + 4.0 * _pp * a{n})",
+            f"ga{n} = ga{n} - (2.0 * a{n} * (a{m} * a{m} - b{m} * b{m}) + 4.0 * _pp * a{m})",
+            f"gb{m} = gb{m} - (2.0 * b{m} * (b{n} * b{n} - a{n} * a{n}) + 4.0 * b{n} * _qq)",
+            f"gb{n} = gb{n} - (2.0 * b{n} * (b{m} * b{m} - a{m} * a{m}) + 4.0 * b{m} * _qq)",
+        ]
+    return "\n".join(lines)
 
 
 def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
@@ -148,27 +185,7 @@ def nls_hamiltonian(n_modes: int) -> HamiltonianModel:
         )
         return quart - np.sum(coup, axis=-1)
 
-    def grad_components(*qp):
-        q, p = qp[:n_modes], qp[n_modes:]
-        gq = []
-        gp = []
-        for qi, pi in zip(q, p):
-            r2 = qi * qi + pi * pi
-            gq.append(r2 * qi)
-            gp.append(r2 * pi)
-        # Each mode takes the coupling term of its right neighbor before the
-        # one of its left neighbor; walking the bonds downward keeps that order.
-        for i in range(n_modes - 1, 0, -1):
-            qm, qn, pm, pn = q[i - 1], q[i], p[i - 1], p[i]
-            pmpn = pm * pn
-            qmqn = qm * qn
-            gq[i - 1] -= 2.0 * qm * (qn * qn - pn * pn) + 4.0 * pmpn * qn
-            gq[i] -= 2.0 * qn * (qm * qm - pm * pm) + 4.0 * pmpn * qm
-            gp[i - 1] -= 2.0 * pm * (pn * pn - qn * qn) + 4.0 * pn * qmqn
-            gp[i] -= 2.0 * pn * (pm * pm - qm * qm) + 4.0 * pm * qmqn
-        return gq, gp
-
-    return HamiltonianModel("nls", n_modes, value, grad_components=grad_components)
+    return HamiltonianModel("nls", n_modes, value, grad_components=_gradient(_nls_source(n_modes), n_modes))
 
 
 @dataclass(frozen=True)

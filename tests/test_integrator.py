@@ -1,6 +1,8 @@
 """Flow maps, composition schemes, and stepping drivers."""
+import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -643,3 +645,81 @@ class TestBindingAndConservation:
         assert np.all(np.isfinite(traj.states))
         assert np.all(r > 2.0)
         assert np.max(np.abs(traj.states)) < 1e6
+
+
+# Per built-in model: (factory, Q0, P0, delta, omega) of a short run.
+SPLICED_MODELS = {
+    "product1d": (sx.product_hamiltonian, [-3.0], [0.0], 0.02, 15.0),
+    "schwarzschild": (sx.schwarzschild_hamiltonian, [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], 0.2, 2.0),
+    "nls2": (lambda: sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], 0.01, 100.0),
+    "nls5": (lambda: sx.nls_hamiltonian(5), [3.0, 0.01, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0, 0.0], 0.01, 100.0),
+}
+
+
+def called_copy(model):
+    """The model with a gradient function of no source: the step calls it once per A or B stage."""
+    grad = model.grad_components
+    return dataclasses.replace(model, grad_components=lambda *ab: grad(*ab))
+
+
+def gradient_calls(run, code):
+    """Number of Python calls of the function with code object ``code`` while ``run()`` runs."""
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(1) if event == "call" and frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+class TestSplicedGradient:
+    @pytest.mark.parametrize("name", sorted(SPLICED_MODELS))
+    @pytest.mark.parametrize("lanes", [1, 3, 1024], ids=["one_lane", "narrow", "columns"])
+    def test_spliced_step_equals_called_step(self, name, lanes):
+        factory, Q0, P0, delta, omega = SPLICED_MODELS[name]
+        model = factory()
+        assert model.grad_components._source
+        rng = np.random.default_rng(lanes)
+        Qb, Pb = _perturbed(Q0, rng, (lanes,)), _perturbed(P0, rng, (lanes,))
+        omegas = omega * rng.uniform(0.5, 2.0, lanes)
+        for order in (2, 4):
+            for m in (model, called_copy(model)):
+                if lanes == 1:
+                    cfg = sx.IntegratorConfig(delta, omega, order, 12)
+                    runs = [sx.integrate(Qb[0], Pb[0], cfg, m, stride=5).states,
+                            sx.integrate(Qb[0], Pb[0], cfg, m, force=sx.linear_drag(0.05)).states]
+                else:
+                    runs = [sx.integrate_batch(Qb, Pb, delta, omega, order, 12, m, stride=5).states,
+                            sx.integrate_batch(Qb, Pb, delta, omegas, order, 3, m).states]
+                if m is model:
+                    spliced = runs
+            for got, want in zip(spliced, runs):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(SPLICED_MODELS))
+    @pytest.mark.parametrize("order, stages", [(2, 4), (4, 10)])
+    def test_builtin_step_makes_no_gradient_call(self, name, order, stages):
+        factory, Q0, P0, delta, omega = SPLICED_MODELS[name]
+        model = factory()
+        copy = called_copy(model)
+        cfg = sx.IntegratorConfig(delta, omega, order, 7)
+        spliced = gradient_calls(lambda: sx.integrate(Q0, P0, cfg, model), model.grad_components.__code__)
+        called = gradient_calls(lambda: sx.integrate(Q0, P0, cfg, copy), copy.grad_components.__code__)
+        assert (spliced, called) == (0, 7 * stages)
+
+    def test_horizon_error_reads_as_from_the_called_gradient(self):
+        # The second position copy dives inside r = 2 after sample 69; the next step's B stage refuses it.
+        model = sx.schwarzschild_hamiltonian()
+        cfg = sx.IntegratorConfig(0.05, 2.0, 4, 400)
+        errors = []
+        for m in (model, called_copy(model)):
+            with pytest.raises(sx.DomainError) as err:
+                sx.integrate([0.0, 2.6, 0.0], [0.9, -1.5, -3.0], cfg, m)
+            errors.append(err.value)
+        spliced, called = errors
+        assert str(spliced) == str(called) == "inside horizon: Schwarzschild model needs r > 2"
+        assert len(spliced.partial) == len(called.partial) == 70
+        assert spliced.partial.states[-1, 2, 1] < 2.0
+        np.testing.assert_array_equal(spliced.partial.times, called.partial.times)
+        np.testing.assert_array_equal(spliced.partial.states, called.partial.states)

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks, oracles
+from . import __version__, oracles
 from .analysis import (
     chaos_statistic,
     classify_section,
@@ -168,6 +167,7 @@ def _map_ordered(fn, items, workers: int):
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled scan loads multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -335,6 +335,10 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_check(numbers, out_dir: Path) -> int:
+    from . import checks  # only this subcommand loads the criteria
+    unknown = set(numbers or ()) - set(checks.CRITERIA)
+    if unknown:
+        raise ConfigError(f"unknown criteria {sorted(unknown)}")
     results = checks.run_all(numbers)
     lines = [r.line() for r in results]
     for line in lines:
@@ -397,9 +401,6 @@ def main(argv=None) -> int:
                     numbers = [int(part) for part in args.only.split(",")]
                 except ValueError:
                     raise ConfigError(f"criteria must be comma-separated numbers, got {args.only!r}") from None
-                unknown = set(numbers) - set(checks.CRITERIA)
-                if unknown:
-                    raise ConfigError(f"unknown criteria {sorted(unknown)}")
             return cmd_check(numbers, out_dir)
         cfg = _load(args)
         if args.command == "table":

@@ -237,7 +237,7 @@ class TestTableCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("sympext.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = write_config(tmp_path, "system = product1d\nomegas = 10,20\ndelta = 0.02\nt_final = 1\norder = 2\n")
         assert main(["table", "--config", cfg, "--out", str(tmp_path), "--workers", "64"]) == 0
         assert sizes == [2]
@@ -249,6 +249,30 @@ class TestWorkersFlag:
         # The benchmark's CLI workloads pass --workers 1 to each of these subcommands.
         args = build_parser().parse_args([command, "--config", "run.cfg", "--out", "out", "--workers", "1"])
         assert (args.command, args.workers) == (command, 1)
+
+    def test_one_worker_loads_no_multiprocessing(self, tmp_path):
+        # With --workers 1 every subcommand runs in this process; only a pooled table scan starts workers.
+        configs = {
+            "integrate": "system = product1d\ndelta = 0.1\nt_final = 1\n",
+            "table": "system = product1d\nomegas = 10,20\ndelta = 0.05\nt_final = 1\n",
+            "nls": "system = nls\nn_modes = 2\ndelta = 0.01\nt_final = 0.1\n",
+            "compare": "system = product1d\ndelta = 0.1\nt_final = 1\n",
+            "poincare": "system = product1d\nomega = 2\nshell = 10\ngrid_q = -1:1:2\ngrid_p = -1:1:2\nmax_crossings = 4\n",
+        }
+        for command, text in configs.items():
+            (tmp_path / f"{command}.cfg").write_text(text)
+        script = (
+            "import sys\n"
+            "from sympext.cli import main\n"
+            f"codes = [main([c, '--config', c + '.cfg', '--out', c, '--workers', '1']) for c in {list(configs)!r}]\n"
+            "codes.append(main(['check', '--only', '6', '--out', 'check', '--workers', '1']))\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+        )
+        src = str(Path(sx.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
 class TestPoincareCommand:

@@ -109,14 +109,12 @@ def _require_outside_horizon(r):
         raise DomainError(_INSIDE_HORIZON)
 
 
-# (t, r, phi) = a0..a2 and (p_t, p_r, p_phi) = b0..b2. The cube goes through
-# numpy's power loop, so that floats and columns give the same bits: a Python
-# float ``r ** 3`` goes to the C library's pow, which rounds differently in
-# some cases, and raises OverflowError where numpy gives inf.
+# (t, r, phi) = a0..a2 and (p_t, p_r, p_phi) = b0..b2. The cube is two IEEE
+# products, which round alike on every host and overflow to inf on floats.
 _SCHWARZSCHILD = f"""_ok = a1 > {2.0 + _HORIZON_MARGIN!r}
 if _ok is not True and not np.all(_ok): raise DomainError({_INSIDE_HORIZON!r})
-_u = 1.0 - 2.0 / a1; _du = 2.0 / (a1 * a1); _vt = b0 / _u; _c = np.power(a1, 3)
-ga0 = ga2 = 0.0; ga1 = 0.5 * (-_du * (_vt * _vt) - _du * (b1 * b1)) + b2 * b2 / (_c if _c.ndim else float(_c))
+_u = 1.0 - 2.0 / a1; _du = 2.0 / (a1 * a1); _vt = b0 / _u
+ga0 = ga2 = 0.0; ga1 = 0.5 * (-_du * (_vt * _vt) - _du * (b1 * b1)) + b2 * b2 / (a1 * a1 * a1)
 gb0 = _vt; gb1 = -_u * b1; gb2 = -b2 / (a1 * a1)"""
 
 

@@ -6,16 +6,18 @@ section arrays). A refactor that
 keeps the arithmetic order keeps every digest; any change in the last bit
 of any sample changes one.
 
-Most cases use only IEEE arithmetic and square roots. Three groups also
-pass through a transcendental function from the math library: the
-``batch`` cases (numpy's vectorized cos/sin for the per-lane rotations)
-and every ``schwarzschild`` case (``r**3`` in its gradient); their digests
-are tied to the numpy and libm build. On a new platform where only those
-fail, check the code at a known-good commit and re-record its digests
-with ``python tests/test_golden.py``, which prints the table.
+Most cases use only IEEE arithmetic and square roots. The ``batch`` cases
+also pass through numpy's vectorized cos/sin for the per-lane rotations,
+so their digests are tied to the numpy build. On a new platform where only
+those fail, check the code at a known-good commit and re-record its
+digests with ``python tests/test_golden.py``, which prints the table.
 """
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,11 +141,11 @@ GOLDEN = {
     "flow_a_forced/product1d": "d0d3f1899f93902678a32690eae626e8",
     "flow_b_forced/product1d": "f64073f01a70546b86f23d775ef9e822",
     "flow_c/product1d": "25b582eb9bdc56a537e5cea038765872",
-    "integrate2/schwarzschild": "6933b29c89b329d9635d401790457e3b",
-    "integrate4/schwarzschild": "abd86b2d57fa4675ee0ac5ada677cc67",
-    "linear_drag/schwarzschild": "927c85fc2434b456cfad7e13b553041c",
-    "clocked_force/schwarzschild": "846499a3ad986e3d7ed520f15ea7100e",
-    "batch/schwarzschild": "c70da56ab5e782c13201bd0b5749ad9e",
+    "integrate2/schwarzschild": "7e6ac910e5085a80406778e7072836a7",
+    "integrate4/schwarzschild": "9fc3a869f59dd6de93bc5334831848fa",
+    "linear_drag/schwarzschild": "668399fb99fa227cbb5170ab8d3c0d49",
+    "clocked_force/schwarzschild": "e5a75df0f2760872937aac6e2df873ce",
+    "batch/schwarzschild": "4a39ca8f626c5767f88e2501707ba80c",
     "apply_scheme_backward/schwarzschild": "c4619a7b72604697d7c9d1de58251413",
     "flow_a/schwarzschild": "fa3adebc1df3e75cec7cafbb7648eede",
     "flow_b/schwarzschild": "83e6ac041dad258b3f931b52fb613c99",
@@ -173,10 +175,10 @@ GOLDEN = {
     "rk4_forced/product1d": "d4c38d8e5a8689cf819792a7255b9210",
     "rk4_batch/product1d": "6ed4479cb33757851041b17c7a3d4d36",
     "vector_field/product1d": "a198eb3acb93461fbdc68409dd0b1fb0",
-    "rk4/schwarzschild": "48376935a240b64dd0af81f523bde809",
+    "rk4/schwarzschild": "6c0374d723b85159786659898b17c6aa",
     "rk4_forced/schwarzschild": "85c5a00af6279c6ca89fda5dfbaba743",
-    "rk4_batch/schwarzschild": "1e85ba9b788c4b4d0ea412144e205ab8",
-    "vector_field/schwarzschild": "8042f01d320d285bdc9d2718d20ca8ab",
+    "rk4_batch/schwarzschild": "d3eb63909b175c1e5ae1db1c8cd9f700",
+    "vector_field/schwarzschild": "f55875780e70a584f4e4601458f3ee7e",
     "poincare_section": "3ab059ba0b858af4180adde51edfcc23",
     "poincare_section/rtol=1e-05": "d7e76551a3c19f66ab247bd22a123a51",
     "poincare_section/rtol=1e-06": "2ff7e84587a0e4667aa6c250392beb48",
@@ -222,6 +224,25 @@ def test_golden_poincare_section():
 @pytest.mark.parametrize("shell_rtol", SECTION_RTOLS)
 def test_golden_section_accounting(shell_rtol):
     assert _section_accounting_digest(shell_rtol) == GOLDEN[f"poincare_section/rtol={shell_rtol:g}"]
+
+
+def test_golden_digests_without_avx512_dispatch():
+    # numpy picks its loops by CPU; with the AVX512 loops it found switched off, every digest must hold.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    avx512 = [f for f in __cpu_dispatch__ if __cpu_features__.get(f) and (f.startswith("AVX512") or f == "X86_V4")]
+    script = (
+        "import test_golden as g\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        f"print('enabled:', [f for f in {avx512!r} if __cpu_features__[f]])\n"
+        "print('moved:', [key for key in g.GOLDEN if g._golden_value(key) != g.GOLDEN[key]])\n"
+    )
+    here = Path(__file__).parent
+    path = os.pathsep.join(filter(None, [str(Path(sx.__file__).parents[1]), str(here), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(avx512))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2:] == ["enabled: []", "moved: []"]
 
 
 def _golden_value(key: str) -> str:

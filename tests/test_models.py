@@ -64,7 +64,7 @@ def schwarzschild_grad_arrays(a, b):
     du = 2.0 / (r * r)
     pt, pr, pphi = b[..., 0], b[..., 1], b[..., 2]
     ga = np.zeros_like(a)
-    ga[..., 1] = 0.5 * (-du * (pt / u) ** 2 - du * pr**2) + pphi**2 / r**3
+    ga[..., 1] = 0.5 * (-du * (pt / u) ** 2 - du * pr**2) + pphi**2 / (r * r * r)
     gb = np.empty_like(b)
     gb[..., 0] = pt / u
     gb[..., 1] = -u * pr

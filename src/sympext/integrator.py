@@ -129,9 +129,8 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
 # same source runs on Python floats (one lane at a time) and on numpy columns
 # (a batch): every operation is elementwise and in the order of the (..., d)
 # array formulas, so both give the bits of the array arithmetic. The compiled
-# source depends only on the stage kinds, d, whether a force is present and
-# the model's gradient source; substeps and rotations are closure constants
-# bound per call.
+# source depends only on the stage kinds, d, the force's presence and the
+# gradient source; substeps and rotations are closure constants bound per call.
 
 
 def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None) -> list[str]:
@@ -156,12 +155,11 @@ def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None) -
     lines = ["; ".join(f"{u} = {v}" for u, v in zip(a + b, pos + mom))]
     # The model's gradient source, spliced, or one call of its gradient function.
     lines += source.splitlines() if source else [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
-    parts = []
     if forced:
-        parts.append(f"({', '.join(f)},) = F({args}, {clock})")
+        parts = [f"({', '.join(f)},) = F({args}, {clock})"]
         parts += [f"{kicked[i]} = {kicked[i]} + {h} * ({f[i]} - {ga[i]})" for i in range(d)]
     else:
-        parts += [f"{kicked[i]} = {kicked[i]} - {h} * {ga[i]}" for i in range(d)]
+        parts = [f"{kicked[i]} = {kicked[i]} - {h} * {ga[i]}" for i in range(d)]
     parts += [f"{drifted[i]} = {drifted[i]} + {h} * {gb[i]}" for i in range(d)]
     if forced:
         parts.append(f"{clock} = {clock} + {h}")

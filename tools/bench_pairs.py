@@ -35,8 +35,9 @@ beside the verdict, not a rule of it.
 
 Before the pairs, a micro table records microseconds per step of
 ``integrate_batch`` (one ``integrator._drive`` run of 256 order-4 steps at
-omega = 10) at 1 to 1024 lanes, for the product oscillator (d = 1) and the
-2-mode system (d = 2). Cell ``<model>/<lanes>`` stores every step; cell
+omega = 10) at 1 to 1024 lanes for the product oscillator (d = 1) and the
+2-mode system (d = 2), and at one lane for the Schwarzschild geodesic
+(d = 3). Cell ``<model>/<lanes>`` stores every step; cell
 ``<model>/<lanes>/stride100`` stores every hundredth, so the gap between
 the two is the cost of storing and checking the samples. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
@@ -70,9 +71,12 @@ import numpy as np
 import sympext as sx
 
 cells = {}
-for name, model, q0, p0 in (("product", sx.product_hamiltonian(), [-3.0], [0.0]),
-                            ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0])):
-    for lanes in json.loads(sys.argv[1]):
+all_lanes = json.loads(sys.argv[1])
+for name, model, q0, p0, widths in (
+        ("product", sx.product_hamiltonian(), [-3.0], [0.0], all_lanes),
+        ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], all_lanes),
+        ("schwarzschild", sx.schwarzschild_hamiltonian(), [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], [1])):
+    for lanes in widths:
         rng = np.random.default_rng(lanes)
         Q = np.asarray(q0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(q0)))
         P = np.asarray(p0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(p0)))

@@ -683,18 +683,17 @@ class TestSplicedGradient:
         rng = np.random.default_rng(lanes)
         Qb, Pb = _perturbed(Q0, rng, (lanes,)), _perturbed(P0, rng, (lanes,))
         omegas = omega * rng.uniform(0.5, 2.0, lanes)
+
+        def runs(m, order):
+            if lanes == 1:
+                cfg = sx.IntegratorConfig(delta, omega, order, 12)
+                return [sx.integrate(Qb[0], Pb[0], cfg, m, stride=5).states,
+                        sx.integrate(Qb[0], Pb[0], cfg, m, force=sx.linear_drag(0.05)).states]
+            return [sx.integrate_batch(Qb, Pb, delta, omega, order, 12, m, stride=5).states,
+                    sx.integrate_batch(Qb, Pb, delta, omegas, order, 3, m).states]
+
         for order in (2, 4):
-            for m in (model, called_copy(model)):
-                if lanes == 1:
-                    cfg = sx.IntegratorConfig(delta, omega, order, 12)
-                    runs = [sx.integrate(Qb[0], Pb[0], cfg, m, stride=5).states,
-                            sx.integrate(Qb[0], Pb[0], cfg, m, force=sx.linear_drag(0.05)).states]
-                else:
-                    runs = [sx.integrate_batch(Qb, Pb, delta, omega, order, 12, m, stride=5).states,
-                            sx.integrate_batch(Qb, Pb, delta, omegas, order, 3, m).states]
-                if m is model:
-                    spliced = runs
-            for got, want in zip(spliced, runs):
+            for got, want in zip(runs(model, order), runs(called_copy(model), order)):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(SPLICED_MODELS))

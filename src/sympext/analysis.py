@@ -420,7 +420,7 @@ def poincare_section(
 
     states, skipped = section_initial_conditions(model, ic_grid, omega, shell, max_lanes=max_lanes)
     n_lanes = len(states)
-    kernel = _kernel(build_scheme(order), delta, omega, 1, model)
+    kernel = _kernel(build_scheme(order), delta, omega, states[:, 0].shape, model)
     shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
     found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]

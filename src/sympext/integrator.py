@@ -189,19 +189,24 @@ def _step_factory(kinds: str, d: int, forced: bool, source: str | None):
     return _compile(lines, f"<sympext step {kinds} d={d}>")["factory"]
 
 
-def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, model: HamiltonianModel | None, force=None):
+def _kernel(scheme: CompositionScheme, delta: float, omega, shape, model: HamiltonianModel | None, force=None):
     """The step function z -> z of ``scheme`` at (delta, omega), called as step(z, t0).
 
-    ``model`` gives the gradient of a start of dimension ``d`` (None for C
-    stages only); ``force`` is a plain F(position, momentum, t) or None.
-    ``omega`` may be a scalar or an array broadcastable against the batch
-    shape (one binding per lane). Dissipative forces replace only the
-    momentum kicks of the A and B stages; each stage kind keeps its own
-    elapsed-time clock, advancing by the stage substep, so F sees the time
-    its flow has integrated to.
+    ``shape`` is the start's (..., d) position shape, and ``model`` gives the
+    gradient of dimension d (None for C stages only). ``omega`` is a scalar
+    or one binding per lane, of shape shape[:-1]; on at most ``_NARROW_LANES``
+    lanes the step also carries, as ``lanes``, one step per lane bound to
+    that lane's elements of the same cos/sin arrays. ``force`` is a plain
+    F(position, momentum, t) or None; it replaces only the momentum kicks of
+    the A and B stages, and each stage kind keeps its own elapsed-time clock,
+    advancing by the stage substep, so F sees the time its flow has reached.
     """
+    d, lanes = shape[-1], shape[:-1]
     grad = None if model is None else _components(model, d)
     om = np.asarray(omega, dtype=float)
+    if om.ndim and om.shape != lanes:
+        raise ValueError(f"omega has shape {om.shape} but the batch has lane shape {lanes}: "
+                         "give a scalar or one binding per lane")
     kinds, substeps, rotations = [], [], []
     for kind, frac in scheme.stages:
         if kind not in ("A", "B", "C"):
@@ -218,19 +223,10 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, d: int, model: Hamil
                 rotations += [math.cos(ang), math.sin(ang)]
         kinds.append(kind)
     forces = None if force is None else _packed_force(force, d)
-    source = getattr(grad, "_source", None)
-    step = _step_factory("".join(kinds), d, force is not None, source)(grad, forces, *substeps, *rotations)
-    return _lanewise(step, model, omega, force)
-
-
-def _lanewise(step, model: HamiltonianModel | None, omega=0.0, force=None):
-    """``step``, marked ``lanewise`` when it has no input of its own per lane.
-
-    That holds for a scalar binding, no force and a model with
-    ``grad_components`` (whose contract takes Python floats), or no model.
-    ``_drive`` may run a lanewise step on one lane at a time.
-    """
-    step.lanewise = np.ndim(omega) == 0 and force is None and (model is None or model.grad_components is not None)
+    factory = _step_factory("".join(kinds), d, force is not None, getattr(grad, "_source", None))
+    step = factory(grad, forces, *substeps, *rotations)
+    if om.ndim and om.size <= _NARROW_LANES:
+        step.lanes = [factory(grad, forces, *substeps, *(float(r.flat[i]) for r in rotations)) for i in range(om.size)]
     return step
 
 
@@ -284,7 +280,7 @@ def apply_scheme(
     so it fails like ``integrate``; ``model`` may be None for a scheme of
     C stages only.
     """
-    traj = _drive(_kernel(scheme, delta, omega, s.dim, model, force), s, delta, 1, 1, Trajectory, _FINITE, t0)
+    traj = _drive(_kernel(scheme, delta, omega, s.q.shape, model, force), s, delta, 1, 1, Trajectory, _FINITE, t0)
     return state_from_array(traj.states[-1])
 
 
@@ -299,20 +295,18 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
     return idx
 
 
-# Widest batch that a lanewise step advances lane by lane on Python floats;
-# wider batches step as numpy columns. Microseconds per order-4 step at
-# omega = 10, every step stored, columns -> floats (2-CPU Xeon, Python 3.11,
-# numpy 2.4, fastest of three rounds):
+# Widest batch that _drive advances lane by lane on Python floats, whatever
+# its binding, force or gradient form; wider batches step as numpy columns.
+# Microseconds per order-4 step at omega = 10, every step stored, columns ->
+# floats (2-CPU Xeon, Python 3.11, numpy 2.4, fastest of three rounds):
 #   lanes            8          16          20          24          32
 #   product     81 -> 26    79 -> 54    80 -> 64    85 -> 78    83 -> 107
 #   2-mode     322 -> 145  346 -> 289  345 -> 367  323 -> 429  322 -> 578
 _NARROW_LANES = 16
 
-# Steps between two escape checks of a lanewise float run (the check waits for
-# a sample): its samples are checked together, one reduction per block.
+# Steps between two escape checks of a float run without observers (the check
+# waits for a sample): its samples are checked together, one reduction per block.
 _CHECK_BLOCK = 256
-
-_EMPTY_BATCH = "empty batch: a run needs at least one lane"
 
 
 def _first_escape(out, first, stop, escape_bound) -> int:
@@ -335,17 +329,18 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     raised on the way leaves with wrap of the stored samples attached as
     ``partial``.
 
-    One lane runs as Python floats. A batch of at most ``_NARROW_LANES``
-    lanes of a ``lanewise`` kernel runs as one float list per lane, all
-    lanes stepped in lockstep; any other batch runs as one numpy column per
-    component. Each operation is elementwise in all three layouts, so they
-    store the same bits.
+    The lane count alone picks the layout. One lane runs as Python floats.
+    A batch of at most ``_NARROW_LANES`` lanes runs as one float list per
+    lane, all lanes stepped in lockstep, lane i by the kernel's ``lanes[i]``
+    if it binds one step per lane and by the kernel itself if not; a wider
+    batch runs as one numpy column per component. Each operation is
+    elementwise in all three layouts, so they store the same bits.
 
-    The start is checked at once. A lanewise kernel on floats without
-    observers then checks its pending rows together at the first sample
-    ``_CHECK_BLOCK`` or more steps after the previous check, and at the
-    end; any other run checks each row as it is stored, so a column never
-    steps past an escape. Either way the error names the first
+    The start is checked at once. A run on floats without observers then
+    checks its pending rows together at the first sample ``_CHECK_BLOCK``
+    or more steps after the previous check, and at the end; a column batch
+    or a run with observers checks each row as it is stored, so a column
+    never steps past an escape. Either way the error names the first
     offending sample, and a step that raises after an unchecked escape
     reports that escape instead, so the error and ``partial`` are those of
     a check at every sample.
@@ -357,19 +352,19 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     width = start.shape[-2] * start.shape[-1]
     n_lanes = math.prod(start.shape[:-2])
     if not n_lanes:
-        raise ValueError(_EMPTY_BATCH)
+        raise ValueError("empty batch: a run needs at least one lane")
     step = kernel
-    if start.ndim > 2 and n_lanes <= _NARROW_LANES and kernel.lanewise:
+    if start.ndim > 2 and n_lanes <= _NARROW_LANES:
         rows = out.reshape(len(sample_at), n_lanes, width)
         z = start.reshape(n_lanes, width).tolist()
-
-        def step(lanes, t):
-            return [kernel(lane, t) for lane in lanes]
+        per_lane = getattr(kernel, "lanes", None)  # lane i's own step, or None where one step serves all
+        step = (lambda lanes, t: [kernel(lane, t) for lane in lanes]) if per_lane is None else (
+            lambda lanes, t: [own(lane, t) for own, lane in zip(per_lane, lanes)])
     else:
         rows = np.moveaxis(out.reshape(out.shape[:-2] + (width,)), -1, 1)
         z = unstack(start.reshape(start.shape[:-2] + (width,)))
-    # A lanewise step on floats runs past an escape without numpy warnings; observers must see checked rows.
-    block = _CHECK_BLOCK if kernel.lanewise and n_lanes <= _NARROW_LANES and not observers else 1
+    # Floats may step past an escape until the next check; observers must see checked rows.
+    block = _CHECK_BLOCK if n_lanes <= _NARROW_LANES and not observers else 1
 
     n_stored = n_checked = next_check = 0  # rows written; rows of them within the bound; step of the next check
     try:
@@ -426,7 +421,7 @@ def integrate(
     carries the partial trajectory of the samples before it.
     """
     s0 = embed(Q0, P0)
-    kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.dim, model, force)
+    kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.q.shape, model, force)
     return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0, observers)
 
 
@@ -449,13 +444,8 @@ def integrate_batch(
     have shape (n_samples, B, 4, d); samples and aborts as ``integrate``.
     """
     s0 = embed(np.atleast_2d(Q0), np.atleast_2d(P0))
-    om, lanes = np.asarray(omega, dtype=float), s0.q.shape[:-1]
-    if om.ndim and om.shape != lanes:
-        raise ValueError(f"omega has shape {om.shape} but the batch has lane shape {lanes}: "
-                         "give a scalar or one binding per lane")
-    if not om.size:
-        raise ValueError(_EMPTY_BATCH)
-    for extreme in (om.min(), om.max()):  # IntegratorConfig's checks, for every lane's binding
+    om = np.asarray(omega, dtype=float)
+    for extreme in (om.min(), om.max()) if om.size else ():  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
-    kernel = _kernel(build_scheme(order), delta, omega, s0.dim, model)
+    kernel = _kernel(build_scheme(order), delta, omega, s0.q.shape, model)
     return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)

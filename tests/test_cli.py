@@ -174,6 +174,23 @@ class TestIntegrateCommand:
         cfg = write_config(tmp_path, "turbo = yes\n")
         assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("order = 14\n", "order: must be an even integer from 2 to 12, got 14"),
+        ("system = nls\nn_modes = 65\n", "n_modes: need 2 to 64, got 65"),
+    ], ids=["order", "n_modes"])
+    def test_key_that_grows_the_step_source_is_bounded(self, tmp_path, capsys, text, message):
+        # Each two orders triple the generated step's stages, and each stage unrolls over the modes.
+        cfg = write_config(tmp_path, text + "n_steps = 1\n")
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text", ["order = 12\n", "system = nls\nn_modes = 64\n"], ids=["order", "n_modes"])
+    def test_key_at_its_bound_runs(self, tmp_path, text):
+        cfg = write_config(tmp_path, text + "n_steps = 1\n")
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 3
+
 
 class TestTableCommand:
     def test_single_point_no_fit(self, tmp_path):

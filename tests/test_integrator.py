@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import sympext as sx
 from sympext.integrator import _NARROW_LANES, apply_scheme, build_scheme, triple_jump_gamma
+from test_golden import _clocked_force
 
 
 @pytest.fixture
@@ -21,6 +22,16 @@ def product():
 
 def random_state(rng, d=1, span=1.5):
     return sx.ExtendedState(*(rng.uniform(-span, span, size=d) for _ in range(4)))
+
+
+def samples(series):
+    """The stored states of a Trajectory, or the (Q, P) of an RK4 PhaseSeries packed alike as (..., 2, d)."""
+    return series.states if isinstance(series, sx.Trajectory) else np.stack((series.Q, series.P), axis=-2)
+
+
+def array_form(model):
+    """The model with its gradient in array form only: every step calls it through the pack/unpack adapter."""
+    return sx.HamiltonianModel(model.name, model.dim, model.value, grad_pair=model.pair)
 
 
 class TestFlowMaps:
@@ -229,16 +240,27 @@ class TestOneReportPerFault:
         Q0 = np.full((_NARROW_LANES + 1, 1), -3.0)
         Q0[1] = 1e100
         P0 = np.zeros_like(Q0)
-        errors = []
-        for lanes in (2, _NARROW_LANES + 1):
-            with pytest.raises(sx.TrajectoryEscapedError) as err, np.errstate(over="ignore", invalid="ignore"):
-                sx.integrate_batch(Q0[:lanes], P0[:lanes], 0.1, 1.0, 2, 10, product, escape_bound=math.inf)
-            errors.append(err.value)
-        narrow, wide = errors
-        assert str(narrow) == str(wide)
-        assert "max |state| = inf" in str(narrow)
-        assert 1 < len(narrow.partial) == len(wide.partial)
-        np.testing.assert_array_equal(narrow.partial.states, wide.partial.states[:, :2])
+        runs = {  # each run with the fewest samples its error must keep
+            "components": (lambda lanes: sx.integrate_batch(Q0[:lanes], P0[:lanes], 0.1, 1.0, 2, 10, product,
+                                                            escape_bound=math.inf), 2),
+            "array_form": (lambda lanes: sx.integrate_batch(Q0[:lanes], P0[:lanes], 0.1, 1.0, 2, 10,
+                                                            array_form(product), escape_bound=math.inf), 2),
+            # A forced batch runs through RK4, which refuses the first inf.
+            "forced": (lambda lanes: sx.rk4_trajectory(product, Q0[:lanes], P0[:lanes], 0.1, 10,
+                                                       force=sx.linear_drag(0.05)), 1),
+        }
+        for form, (run, kept) in runs.items():
+            errors = []
+            for lanes in (2, _NARROW_LANES + 1):
+                with pytest.raises(sx.TrajectoryEscapedError) as err, np.errstate(over="ignore", invalid="ignore"):
+                    run(lanes)
+                errors.append(err.value)
+            narrow, wide = errors
+            assert str(narrow) == str(wide), form
+            assert "max |state| = inf" in str(narrow)
+            assert kept <= len(narrow.partial) == len(wide.partial)
+            np.testing.assert_array_equal(narrow.partial.times, wide.partial.times)
+            np.testing.assert_array_equal(samples(narrow.partial), samples(wide.partial)[:, :2], err_msg=form)
 
     @pytest.mark.parametrize("entry", ["integrate_batch", "integrate_batch_lane_omega", "rk4_trajectory", "apply_scheme"])
     def test_empty_batch_rejected(self, product, entry):
@@ -254,39 +276,51 @@ class TestOneReportPerFault:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 1), (0,), (1,)], ids=lambda shape: "x".join(map(str, shape)))
     def test_lane_omega_shape_checked(self, product, shape):
-        # One binding per lane of the 2-lane batch, or a scalar; anything else fails before the run.
-        with pytest.raises(ValueError, match=re.escape(f"omega has shape {shape} but the batch has lane shape (2,)")):
-            sx.integrate_batch(np.full((2, 1), -1.0), np.zeros((2, 1)), 0.1, np.ones(shape), 2, 2, product)
+        # One binding per lane of the 2-lane batch, or a scalar; anything else fails before the run,
+        # from every entry point that takes a per-lane omega.
+        Q0, P0, omega = np.full((2, 1), -1.0), np.zeros((2, 1)), np.ones(shape)
+        message = re.escape(f"omega has shape {shape} but the batch has lane shape (2,)")
+        for call in (lambda: sx.integrate_batch(Q0, P0, 0.1, omega, 2, 2, product),
+                     lambda: apply_scheme(sx.embed(Q0, P0), build_scheme(2), 0.1, omega, product),
+                     lambda: sx.flow_c(sx.embed(Q0, P0), 0.1, omega)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @staticmethod
     def drift_model(limit=math.inf):
-        """H(a, b) = b on floats: each order-2 step at delta = 1 moves q and x up by one.
+        """H(a, b) = b: each order-2 step at delta = 1 moves q and x up by one.
 
         The gradient raises DomainError once a stage sees a position beyond ``limit``.
         """
         def grad_components(a, b):
-            if a > limit:
+            if np.any(a > limit):  # a float, or a column through the array form
                 raise sx.DomainError(f"position {a} beyond {limit}")
             return (0.0,), (1.0,)
 
         return sx.HamiltonianModel("drift", 1, value=lambda a, b: b[..., 0], grad_components=grad_components)
 
     @staticmethod
-    def drift_run(lanes, n_steps, stride, escape_bound, model, observers=()):
+    def drift_run(lanes, n_steps, stride, escape_bound, model, observers=(), force=None):
         """A drift run on one lane or a narrow batch; the leading lane holds q = 1 + step at each sample."""
         Q0 = np.array([[1.0], [0.5], [0.25]])[:lanes]
         if lanes == 1:
             cfg = sx.IntegratorConfig(1.0, 0.0, 2, n_steps)
-            return sx.integrate(Q0[0], [0.0], cfg, model, observers, stride=stride, escape_bound=escape_bound)
+            return sx.integrate(Q0[0], [0.0], cfg, model, observers, force=force, stride=stride,
+                                escape_bound=escape_bound)
+        assert force is None  # integrate_batch takes no force
         return sx.integrate_batch(Q0, np.zeros_like(Q0), 1.0, 0.0, 2, n_steps, model,
                                   stride=stride, escape_bound=escape_bound)
 
-    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    @pytest.mark.parametrize("lanes, form", [
+        (1, "components"), (3, "components"), (1, "array_form"), (3, "array_form"), (1, "forced"),
+    ], ids=["one_lane", "narrow", "one_lane_array_form", "narrow_array_form", "one_lane_forced"])
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("sample", [0, 1, 255, 256, 257, -1])
-    def test_blocked_check_reports_as_a_check_per_sample(self, lanes, stride, sample):
+    def test_blocked_check_reports_as_a_check_per_sample(self, lanes, form, stride, sample):
         model, n_steps = self.drift_model(), 800
-        full = self.drift_run(lanes, n_steps, stride, math.inf, model)
+        model = array_form(model) if form == "array_form" else model
+        force = (lambda pos, mom, t: 0.0 * mom) if form == "forced" else None  # kicks by zero: still a drift
+        full = self.drift_run(lanes, n_steps, stride, math.inf, model, force=force)
         sample %= len(full)
         bound = full.times[sample] + 0.5  # sample j holds 1 + its step: it is the first beyond the bound
         # The reference checks every sample, as the columns do.
@@ -294,7 +328,7 @@ class TestOneReportPerFault:
         first = next(j for j, b in enumerate(biggest) if not b <= bound)
         assert first == sample
         with pytest.raises(sx.TrajectoryEscapedError) as err:
-            self.drift_run(lanes, n_steps, stride, bound, model)
+            self.drift_run(lanes, n_steps, stride, bound, model, force=force)
         assert str(err.value) == (f"trajectory escaped: max |state| = {biggest[first]:.3e} "
                                   f"exceeds bound {bound:.3e} at step {full.times[first]:.0f}")
         np.testing.assert_array_equal(err.value.partial.times, full.times[:first])
@@ -510,23 +544,35 @@ class TestKernelProperties:
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from([2, 4]), stride=st.integers(1, 9))
     def test_narrow_batch_equals_its_lanes_in_a_wide_batch(self, name, seed, order, stride):
-        # Lane by lane on floats (at most _NARROW_LANES lanes) against numpy columns (more lanes).
+        # Lane by lane on floats (at most _NARROW_LANES lanes) against numpy columns (more lanes), for
+        # every kind of step: per-lane bindings, forces and array-form gradients.
         factory, Q0, P0, delta, omega = PROPERTY_MODELS[name]
         model = factory()
         rng = np.random.default_rng(seed)
         Qb, Pb = _perturbed(Q0, rng, (_NARROW_LANES + 1,)), _perturbed(P0, rng, (_NARROW_LANES + 1,))
+        omegas = omega * rng.uniform(0.5, 2.0, _NARROW_LANES + 1)
+        scheme = build_scheme(order)
 
-        def rk4(Q, P):
-            series = sx.rk4_trajectory(model, Q, P, delta, 25, stride=stride)
-            return np.stack((series.Q, series.P), axis=-2)
+        def batch(m, bindings):
+            return lambda Q, P, om: sx.integrate_batch(Q, P, delta, bindings(om), order, 25, m, stride=stride).states
 
-        runs = [  # each gives its lanes on axis 1
-            lambda Q, P: sx.integrate_batch(Q, P, delta, omega, order, 25, model, stride=stride).states,
-            rk4,
-            lambda Q, P: apply_scheme(sx.embed(Q, P), build_scheme(order), delta, omega, model).to_array()[None],
+        def rk4(m, force=None):
+            return lambda Q, P, om: samples(sx.rk4_trajectory(m, Q, P, delta, 25, stride=stride, force=force))
+
+        def one_step(m, bindings, force=None):
+            return lambda Q, P, om: apply_scheme(sx.embed(Q, P), scheme, delta, bindings(om), m, force).to_array()[None]
+
+        scalar, per_lane = (lambda om: omega), (lambda om: om)
+        runs = [  # each takes the lanes' starts and bindings and gives its lanes on axis 1
+            batch(model, scalar), batch(model, per_lane), batch(array_form(model), per_lane),
+            rk4(model), rk4(array_form(model)), rk4(model, sx.linear_drag(0.05)), rk4(model, _clocked_force),
+            one_step(model, scalar), one_step(array_form(model), per_lane),
+            one_step(model, per_lane, sx.linear_drag(0.05)), one_step(model, scalar, _clocked_force),
         ]
         for run in runs:
-            np.testing.assert_array_equal(run(Qb[:3], Pb[:3]), run(Qb, Pb)[:, :3])
+            wide = run(Qb, Pb, omegas)
+            for lanes in (3, _NARROW_LANES):
+                np.testing.assert_array_equal(run(Qb[:lanes], Pb[:lanes], omegas[:lanes]), wide[:, :lanes])
         if model.dim == 1:
             grid = list(zip(rng.uniform(-1.5, 1.5, 12), rng.uniform(-0.5, 1.0, 12)))
             narrow, wide = (sx.poincare_section(model, g, 10.0, 10.0, order=order, max_crossings=4)

@@ -39,7 +39,10 @@ omega = 10) at 1 to 1024 lanes for the product oscillator (d = 1) and the
 2-mode system (d = 2), and at one lane for the Schwarzschild geodesic
 (d = 3). Cell ``<model>/<lanes>`` stores every step; cell
 ``<model>/<lanes>/stride100`` stores every hundredth, so the gap between
-the two is the cost of storing and checking the samples. A cell is the
+the two is the cost of storing and checking the samples. Cell
+``<model>/<lanes>/lane_omega`` binds one omega per lane, drawn from
+10 U(0.5, 2), for the product and the 2-mode system at 4 and 16 lanes, and
+stores every step. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -63,31 +66,39 @@ WORKLOADS = ("single_lane", "wide_batch", "cli_pipeline")
 PAIRS = 10
 SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
+MICRO_LANE_OMEGA = (4, 16)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100]": us per step}; each cell is the fastest of 256-step runs repeated for 0.1 s.
+# Prints {"<model>/<lanes>[/stride100|/lane_omega]": us per step}; each cell is the fastest of 256-step runs
+# repeated for 0.1 s.
 MICRO_SCRIPT = """
 import json, sys, time
 import numpy as np
 import sympext as sx
 
+def us_per_step(Q, P, omega, model, stride=1):
+    sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model)  # compiles the step kernel
+    runs = []
+    while len(runs) < 3 or sum(runs) < 0.1:
+        start = time.perf_counter()
+        sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model, stride=stride)
+        runs.append(time.perf_counter() - start)
+    return 1e6 * min(runs) / 256
+
 cells = {}
-all_lanes = json.loads(sys.argv[1])
-for name, model, q0, p0, widths in (
-        ("product", sx.product_hamiltonian(), [-3.0], [0.0], all_lanes),
-        ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], all_lanes),
-        ("schwarzschild", sx.schwarzschild_hamiltonian(), [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], [1])):
-    for lanes in widths:
+all_lanes, lane_omega = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for name, model, q0, p0, widths, omega_widths in (
+        ("product", sx.product_hamiltonian(), [-3.0], [0.0], all_lanes, lane_omega),
+        ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], all_lanes, lane_omega),
+        ("schwarzschild", sx.schwarzschild_hamiltonian(), [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], [1], [])):
+    for lanes in sorted({*widths, *omega_widths}):
         rng = np.random.default_rng(lanes)
         Q = np.asarray(q0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(q0)))
         P = np.asarray(p0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(p0)))
-        sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model)  # compiles the step kernel
-        for stride, suffix in ((1, ""), (100, "/stride100")):
-            runs = []
-            while len(runs) < 3 or sum(runs) < 0.1:
-                start = time.perf_counter()
-                sx.integrate_batch(Q, P, 0.01, 10.0, 4, 256, model, stride=stride)
-                runs.append(time.perf_counter() - start)
-            cells[f"{name}/{lanes}{suffix}"] = 1e6 * min(runs) / 256
+        if lanes in widths:
+            cells[f"{name}/{lanes}"] = us_per_step(Q, P, 10.0, model)
+            cells[f"{name}/{lanes}/stride100"] = us_per_step(Q, P, 10.0, model, 100)
+        if lanes in omega_widths:
+            cells[f"{name}/{lanes}/lane_omega"] = us_per_step(Q, P, 10.0 * rng.uniform(0.5, 2.0, lanes), model)
 print(json.dumps(cells))
 """
 
@@ -133,12 +144,13 @@ def setup_only(trees: dict, workload: str, seeds: list[int]) -> dict:
     return {"unit": "s", "runs_per_side": SETUP_ONLY_RUNS, **{side: describe(values[side]) for side in trees}}
 
 
-def micro_table(trees: dict, lanes=MICRO_LANES) -> dict:
+def micro_table(trees: dict, lanes=MICRO_LANES, lane_omega=MICRO_LANE_OMEGA) -> dict:
     """Microseconds per integrate_batch step, per side and cell, over interleaved rounds."""
     rounds = {side: [] for side in trees}
     for i in range(MICRO_ROUNDS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, json.dumps(list(lanes))],
+            proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, json.dumps(list(lanes)),
+                                   json.dumps(list(lane_omega))],
                                   cwd=trees[side], env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
                                   capture_output=True, text=True, check=True)
             rounds[side].append(json.loads(proc.stdout))

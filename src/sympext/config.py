@@ -5,14 +5,15 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .integrator import IntegratorConfig
+from .integrator import IntegratorConfig, build_scheme
 from .models import MODEL_NAMES
 
-# Largest order and mode count a config may ask for: each two orders triple the
-# generated step's stages, each unrolled over the modes. A first one-lane run took
-# 0.08/0.21/0.71 s at order 12/14/16 (product) and 0.9 s at order 8, 64 modes (2-CPU Xeon).
+# Largest order and mode count a config may ask for, alone and together: each two orders triple the
+# step's A/B stages, each unrolling the gradient over the modes. A first one-lane run took 0.08/0.21/0.71 s
+# at order 12/14/16 (product), 0.9 s at order 8, 64 modes and 3.1 s, 971 MB at order 10, 64 modes (2-CPU Xeon).
 _MAX_ORDER = 12
 _MAX_MODES = 64
+_MAX_UNROLLED = 82 * 64  # A/B stages times modes of order 8 at 64 modes
 
 
 def _parse_float(text: str) -> float:
@@ -98,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError(f"omega: must be nonnegative, got {self.omega}")
         if not 2 <= self.order <= _MAX_ORDER or self.order % 2:
             raise ConfigError(f"order: must be an even integer from 2 to {_MAX_ORDER}, got {self.order}")
+        unrolled = sum(kind != "C" for kind, _ in build_scheme(self.order).stages) * self.n_modes
+        if unrolled > _MAX_UNROLLED:
+            raise ConfigError(f"order and n_modes: {unrolled} unrolled stage gradients, above {_MAX_UNROLLED}")
         if self.t_final < 0:
             raise ConfigError(f"t_final: must be nonnegative, got {self.t_final}")
         if self.n_steps < -1:

@@ -42,10 +42,6 @@ class IntegratorConfig:
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
 
-    @property
-    def t_final(self) -> float:
-        return self.n_steps * self.delta
-
 
 @dataclass(frozen=True)
 class CompositionScheme:
@@ -357,37 +353,40 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     if start.ndim > 2 and n_lanes <= _NARROW_LANES:
         rows = out.reshape(len(sample_at), n_lanes, width)
         z = start.reshape(n_lanes, width).tolist()
-        per_lane = getattr(kernel, "lanes", None)  # lane i's own step, or None where one step serves all
+        per_lane = getattr(kernel, "lanes", None)  # lane i's own step, or None: one serves all (zip costs 1-5%)
         step = (lambda lanes, t: [kernel(lane, t) for lane in lanes]) if per_lane is None else (
             lambda lanes, t: [own(lane, t) for own, lane in zip(per_lane, lanes)])
     else:
         rows = np.moveaxis(out.reshape(out.shape[:-2] + (width,)), -1, 1)
         z = unstack(start.reshape(start.shape[:-2] + (width,)))
-    # Floats may step past an escape until the next check; observers must see checked rows.
+    # Floats may step past an escape until the next check, which reports inf and NaN, so numpy's
+    # warnings stay off there (None keeps the caller's); observers must see checked rows.
     block = _CHECK_BLOCK if n_lanes <= _NARROW_LANES and not observers else 1
+    quiet = "ignore" if block > 1 else None
 
     n_stored = n_checked = next_check = 0  # rows written; rows of them within the bound; step of the next check
     try:
-        for k in range(n_steps + 1):
-            if k:
-                try:
-                    z = step(z, t0 + (k - 1) * delta)
-                except Exception:
+        with np.errstate(over=quiet, invalid=quiet):
+            for k in range(n_steps + 1):
+                if k:
+                    try:
+                        z = step(z, t0 + (k - 1) * delta)
+                    except Exception:
+                        n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
+                        if n_checked == n_stored:
+                            raise
+                        break  # an unchecked escape came first
+                if k != sample_at[n_stored]:
+                    continue
+                rows[n_stored] = z
+                n_stored += 1
+                if k >= next_check:
                     n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
-                    if n_checked == n_stored:
-                        raise
-                    break  # an unchecked escape came first
-            if k != sample_at[n_stored]:
-                continue
-            rows[n_stored] = z
-            n_stored += 1
-            if k >= next_check:
-                n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
-                if n_checked < n_stored:
-                    break
-                next_check = min(k + block, n_steps)
-            for obs in observers:
-                obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
+                    if n_checked < n_stored:
+                        break
+                    next_check = min(k + block, n_steps)
+                for obs in observers:
+                    obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
         if n_checked < n_stored:
             biggest = np.abs(out[n_checked]).max()
             raise TrajectoryEscapedError(

@@ -50,6 +50,10 @@ class TestConfigParsing:
         with pytest.raises(sx.ConfigError, match="system"):
             ExperimentConfig(system="pendulum").validate()
 
+    @pytest.mark.parametrize("order, n_modes", [(8, 64), (10, 21), (12, 7)])
+    def test_order_and_modes_at_their_joint_bound_validate(self, order, n_modes):
+        ExperimentConfig(system="nls", n_modes=n_modes, order=order).validate()
+
     def test_duration_exclusivity(self):
         with pytest.raises(sx.ConfigError, match="mutually exclusive"):
             ExperimentConfig(t_final=1.0, n_steps=5).validate()
@@ -177,9 +181,13 @@ class TestIntegrateCommand:
     @pytest.mark.parametrize("text, message", [
         ("order = 14\n", "order: must be an even integer from 2 to 12, got 14"),
         ("system = nls\nn_modes = 65\n", "n_modes: need 2 to 64, got 65"),
-    ], ids=["order", "n_modes"])
+        ("system = nls\nn_modes = 64\norder = 12\n",
+         "order and n_modes: 46720 unrolled stage gradients, above 5248"),
+        ("system = nls\nn_modes = 22\norder = 10\n",
+         "order and n_modes: 5368 unrolled stage gradients, above 5248"),
+    ], ids=["order", "n_modes", "order_12_at_64_modes", "order_10_at_22_modes"])
     def test_key_that_grows_the_step_source_is_bounded(self, tmp_path, capsys, text, message):
-        # Each two orders triple the generated step's stages, and each stage unrolls over the modes.
+        # Each two orders triple the generated step's A/B stages, and each unrolls the gradient over the modes.
         cfg = write_config(tmp_path, text + "n_steps = 1\n")
         assert main(["integrate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"config error: {message}\n" in capsys.readouterr().err

@@ -470,8 +470,11 @@ class TestIntegrate:
             grad_b=lambda a, b: b**3,
         )
         cfg = sx.IntegratorConfig(0.5, 0.0, 2, 2000)
-        with pytest.raises(sx.TrajectoryEscapedError, match="escaped") as err:
+        with pytest.raises(sx.TrajectoryEscapedError, match="escaped") as err, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             sx.integrate(np.array([2.0]), np.array([2.0]), cfg, blow, escape_bound=1e6)
+        assert not caught  # the steps taken past the escape before its check stay silent
         partial = err.value.partial
         assert partial is not None and len(partial) >= 1
         assert np.all(np.abs(partial.states) <= 1e6)

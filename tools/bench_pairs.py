@@ -42,7 +42,11 @@ omega = 10) at 1 to 1024 lanes for the product oscillator (d = 1) and the
 the two is the cost of storing and checking the samples. Cell
 ``<model>/<lanes>/lane_omega`` binds one omega per lane, drawn from
 10 U(0.5, 2), for the product and the 2-mode system at 4 and 16 lanes, and
-stores every step. A cell is the
+stores every step. At the same widths, cell ``product/<lanes>/array_form``
+runs the product with its gradient in array form only (one call of the
+pack/unpack adapter per lane on a narrow batch), and cell
+``product/<lanes>/rk4_drag`` times ``oracles.rk4_trajectory`` with
+``linear_drag(0.05)``, a forced batch. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -68,19 +72,21 @@ SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_LANE_OMEGA = (4, 16)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100|/lane_omega]": us per step}; each cell is the fastest of 256-step runs
-# repeated for 0.1 s.
+# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag]": us per step}; each cell is the
+# fastest of 256-step runs repeated for 0.1 s.
 MICRO_SCRIPT = """
 import json, sys, time
 import numpy as np
 import sympext as sx
+from sympext.oracles import rk4_trajectory
 
-def us_per_step(Q, P, omega, model, stride=1):
-    sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model)  # compiles the step kernel
+def us_per_step(Q, P, omega, model, stride=1, run=None):
+    run = run or (lambda: sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model, stride=stride))
+    run()  # compiles the step kernel
     runs = []
     while len(runs) < 3 or sum(runs) < 0.1:
         start = time.perf_counter()
-        sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model, stride=stride)
+        run()
         runs.append(time.perf_counter() - start)
     return 1e6 * min(runs) / 256
 
@@ -99,6 +105,12 @@ for name, model, q0, p0, widths, omega_widths in (
             cells[f"{name}/{lanes}/stride100"] = us_per_step(Q, P, 10.0, model, 100)
         if lanes in omega_widths:
             cells[f"{name}/{lanes}/lane_omega"] = us_per_step(Q, P, 10.0 * rng.uniform(0.5, 2.0, lanes), model)
+        if lanes in omega_widths and name == "product":
+            array_form = sx.HamiltonianModel(name, model.dim, model.value, grad_pair=model.pair)
+            cells[f"{name}/{lanes}/array_form"] = us_per_step(Q, P, 10.0, array_form)
+            drag = sx.linear_drag(0.05)
+            cells[f"{name}/{lanes}/rk4_drag"] = us_per_step(
+                Q, P, 10.0, model, run=lambda: rk4_trajectory(model, Q, P, 0.01, 256, force=drag))
 print(json.dumps(cells))
 """
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class CompositionScheme:
 
 
 def linear_drag(gamma: float) -> Callable:
-    """The simplest dissipation, F(position, momentum, t) = -gamma * momentum."""
-    return lambda pos, mom, t: -gamma * mom
+    """The simplest dissipation: F(a0.., b0.., t) = (-gamma * b0, ..), the momentum components damped."""
+    return lambda *abt: [-gamma * b for b in abt[len(abt) // 2:-1]]
 
 
 def triple_jump_gamma(order: int) -> float:
@@ -99,12 +99,12 @@ def build_scheme(order: int) -> CompositionScheme:
 
 
 def flow_a(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
-    """Exact flow of the first copy H(q, y): kicks p, drifts x, fixes q and y."""
+    """Exact flow of the first copy H(q, y): kicks p (with any ``force`` from time t), drifts x, fixes q and y."""
     return apply_scheme(s, CompositionScheme((("A", 1.0),)), delta, 0.0, model, force, t)
 
 
 def flow_b(s: ExtendedState, delta: float, model: HamiltonianModel, force=None, t: float = 0.0) -> ExtendedState:
-    """Exact flow of the second copy H(x, p): drifts q, kicks y, fixes p and x."""
+    """Exact flow of the second copy H(x, p): drifts q, kicks y (with any ``force`` from time t), fixes p and x."""
     return apply_scheme(s, CompositionScheme((("B", 1.0),)), delta, 0.0, model, force, t)
 
 
@@ -192,8 +192,8 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, shape, model: Hamilt
     gradient of dimension d (None for C stages only). ``omega`` is a scalar
     or one binding per lane, of shape shape[:-1]; on at most ``_NARROW_LANES``
     lanes the step also carries, as ``lanes``, one step per lane bound to
-    that lane's elements of the same cos/sin arrays. ``force`` is a plain
-    F(position, momentum, t) or None; it replaces only the momentum kicks of
+    that lane's elements of the same cos/sin arrays. ``force``, F(a0..,
+    b0.., t) or None, adds its d components only to the momentum kicks of
     the A and B stages, and each stage kind keeps its own elapsed-time clock,
     advancing by the stage substep, so F sees the time its flow has reached.
     """
@@ -218,11 +218,10 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, shape, model: Hamilt
             else:
                 rotations += [math.cos(ang), math.sin(ang)]
         kinds.append(kind)
-    forces = None if force is None else _packed_force(force, d)
     factory = _step_factory("".join(kinds), d, force is not None, getattr(grad, "_source", None))
-    step = factory(grad, forces, *substeps, *rotations)
+    step = factory(grad, force, *substeps, *rotations)
     if om.ndim and om.size <= _NARROW_LANES:
-        step.lanes = [factory(grad, forces, *substeps, *(float(r.flat[i]) for r in rotations)) for i in range(om.size)]
+        step.lanes = [factory(grad, force, *substeps, *(float(r.flat[i]) for r in rotations)) for i in range(om.size)]
     return step
 
 
@@ -232,17 +231,6 @@ def _packed_pair(pair, d: int):
     def components(*ab):
         ga, gb = pair(stack(ab[:d]), stack(ab[d:]))
         return unstack(ga), unstack(gb)
-
-    return components
-
-
-def _packed_force(force, d: int):
-    """Force components from a plain F(position, momentum, t), broadcast to the momentum."""
-
-    def components(*abt):
-        mom = stack(abt[d:-1])
-        f = force(stack(abt[:d]), mom, abt[-1])
-        return unstack(f if np.shape(f) == mom.shape else np.broadcast_to(f, mom.shape))
 
     return components
 
@@ -270,11 +258,12 @@ def apply_scheme(
 ) -> ExtendedState:
     """One update of ``scheme`` at step ``delta``, of either sign. Deterministic in its inputs.
 
-    ``force`` adds F(position, momentum, time) to the momentum kicks; with
-    F identically zero the step is bitwise the unforced one. The update is
-    a one-step ``_drive`` run that refuses exactly the non-finite states,
-    so it fails like ``integrate``; ``model`` may be None for a scheme of
-    C stages only.
+    ``force`` F(a0.., b0.., t) returns the d momentum components added to
+    the kicks, floats or lane columns (another count raises ValueError);
+    with F identically zero the step is bitwise the unforced one. The
+    update is a one-step ``_drive`` run that refuses exactly the
+    non-finite states, so it fails like ``integrate``; ``model`` may be
+    None for a scheme of C stages only.
     """
     traj = _drive(_kernel(scheme, delta, omega, s.q.shape, model, force), s, delta, 1, 1, Trajectory, _FINITE, t0)
     return state_from_array(traj.states[-1])
@@ -300,8 +289,8 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
 #   2-mode     322 -> 145  346 -> 289  345 -> 367  323 -> 429  322 -> 578
 _NARROW_LANES = 16
 
-# Steps between two escape checks of a float run without observers (the check
-# waits for a sample): its samples are checked together, one reduction per block.
+# Steps between two escape checks of a run in any layout (the check waits for a
+# sample): its samples are checked together, one reduction per block.
 _CHECK_BLOCK = 256
 
 
@@ -313,15 +302,14 @@ def _first_escape(out, first, stop, escape_bound) -> int:
     return first + int(np.argmin(block.reshape(len(block), -1).max(axis=1) <= escape_bound))
 
 
-def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, observers=()):
+def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
     """The one trajectory loop behind every sampled run.
 
     Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` calls
     z = kernel(z, t), stores every ``stride``-th state (the final state
-    always included) in its (..., n_blocks, d) output row, checks the rows
-    against the escape bound and calls each observer as observer(t, state)
-    at each sample, with a view of its row. A sample counts as stored once
-    it passed the check. Returns wrap(times, states); any SympextError
+    always included) in its (..., n_blocks, d) output row and checks the
+    rows against the escape bound. A sample counts as stored once it
+    passed the check. Returns wrap(times, states); any SympextError
     raised on the way leaves with wrap of the stored samples attached as
     ``partial``.
 
@@ -332,14 +320,13 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     batch runs as one numpy column per component. Each operation is
     elementwise in all three layouts, so they store the same bits.
 
-    The start is checked at once. A run on floats without observers then
-    checks its pending rows together at the first sample ``_CHECK_BLOCK``
-    or more steps after the previous check, and at the end; a column batch
-    or a run with observers checks each row as it is stored, so a column
-    never steps past an escape. Either way the error names the first
-    offending sample, and a step that raises after an unchecked escape
-    reports that escape instead, so the error and ``partial`` are those of
-    a check at every sample.
+    The start is checked at once; then every layout checks its pending
+    rows together at the first sample ``_CHECK_BLOCK`` or more steps after
+    the previous check, and at the end. Until its check a run may step on
+    past an escape, with numpy's overflow and invalid warnings off. The
+    error names the first offending sample, and a step that raises after
+    an unchecked escape reports that escape instead, so the error and
+    ``partial`` are those of a check at every sample.
     """
     sample_at = _sample_indices(n_steps, stride)
     times = t0 + delta * np.asarray(sample_at, dtype=float)
@@ -359,14 +346,9 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
     else:
         rows = np.moveaxis(out.reshape(out.shape[:-2] + (width,)), -1, 1)
         z = unstack(start.reshape(start.shape[:-2] + (width,)))
-    # Floats may step past an escape until the next check, which reports inf and NaN, so numpy's
-    # warnings stay off there (None keeps the caller's); observers must see checked rows.
-    block = _CHECK_BLOCK if n_lanes <= _NARROW_LANES and not observers else 1
-    quiet = "ignore" if block > 1 else None
-
     n_stored = n_checked = next_check = 0  # rows written; rows of them within the bound; step of the next check
     try:
-        with np.errstate(over=quiet, invalid=quiet):
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps + 1):
                 if k:
                     try:
@@ -384,9 +366,7 @@ def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0, o
                     n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
                     if n_checked < n_stored:
                         break
-                    next_check = min(k + block, n_steps)
-                for obs in observers:
-                    obs(times[n_stored - 1], state_from_array(out[n_stored - 1]))
+                    next_check = min(k + _CHECK_BLOCK, n_steps)
         if n_checked < n_stored:
             biggest = np.abs(out[n_checked]).max()
             raise TrajectoryEscapedError(
@@ -404,7 +384,6 @@ def integrate(
     P0,
     cfg: IntegratorConfig,
     model: HamiltonianModel,
-    observers: Sequence[Callable] = (),
     *,
     force=None,
     stride: int = 1,
@@ -413,15 +392,15 @@ def integrate(
 ) -> Trajectory:
     """Advance the doubled embedding of (Q0, P0) for cfg.n_steps steps.
 
-    Samples every ``stride``-th state (the final state always included) and
-    calls each observer as observer(t, state) at the sample points. Aborts
-    with TrajectoryEscapedError if a sample leaves the escape bound or
-    turns non-finite; this and any other SympextError raised mid-run
-    carries the partial trajectory of the samples before it.
+    Samples every ``stride``-th state (the final state always included).
+    ``force`` adds F(a0.., b0.., t) to the momentum kicks, as in
+    ``apply_scheme``. Aborts with TrajectoryEscapedError if a sample leaves
+    the escape bound or turns non-finite; this and any other SympextError
+    raised mid-run carries the partial trajectory of the samples before it.
     """
     s0 = embed(Q0, P0)
     kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.q.shape, model, force)
-    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0, observers)
+    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0)
 
 
 def integrate_batch(

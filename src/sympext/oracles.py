@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _FINITE, _components, _drive, _packed_force
+from .integrator import _FINITE, _components, _drive
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -154,15 +154,15 @@ def _canonical_rhs(grad, force, z, t):
     ga, gb = grad(*z)
     if force is None:
         return [*gb, *(-g for g in ga)]
-    return [*gb, *(-g + f for g, f in zip(ga, force(*z, t)))]
+    return [*gb, *(-g + f for g, f in zip(ga, force(*z, t), strict=True))]
 
 
 def _rk4(grad, force, z, h, t):
     """One classical RK4 step on the lane variables z = (Q components, P components).
 
-    ``grad`` and ``force`` are the per-component forms of the gradient and
-    of F(Q, P, t) (``integrator._components``/``_packed_force``); the lanes
-    are Python floats for one trajectory at a time or numpy columns for a batch.
+    ``grad`` is the gradient's per-component form (``integrator._components``),
+    ``force`` F(Q0.., P0.., t) or None; the lanes are Python floats for one
+    trajectory at a time or numpy columns for a batch.
     """
     half = 0.5 * h
     k1 = _canonical_rhs(grad, force, z, t)
@@ -189,14 +189,14 @@ def rk4_trajectory(
 ) -> PhaseSeries:
     """Fixed-step RK4 run sampled every ``stride`` steps (final step included).
 
-    A non-finite sample aborts the run with TrajectoryEscapedError, which
-    carries the samples before it as a PhaseSeries ``partial``.
+    ``force`` F(Q0.., P0.., t) adds its d components to dP/dt, as in
+    ``apply_scheme``. A non-finite sample aborts the run with
+    TrajectoryEscapedError, carrying the samples before it as a PhaseSeries ``partial``.
     """
     Q = np.atleast_1d(np.asarray(Q0, dtype=float))
     P = np.atleast_1d(np.asarray(P0, dtype=float))
     grad = _components(model, Q.shape[-1])
-    forces = None if force is None else _packed_force(force, Q.shape[-1])
-    return _drive(lambda z, t: _rk4(grad, forces, z, delta, t), (Q, P), delta, n_steps, stride,
+    return _drive(lambda z, t: _rk4(grad, force, z, delta, t), (Q, P), delta, n_steps, stride,
                   _phase_series, _FINITE)
 
 
@@ -220,8 +220,8 @@ def reference_flow(
     ReferenceConvergenceError if certification fails. Each refinement is
     one ``rk4_trajectory`` run with the uniform substep
     T / (n_samples * substeps), so a non-finite sample aborts it as there.
-    A ``force`` F(Q, P, t) turns the field into dP/dt = -grad_a H + F; a
-    linear drag passes F = -gamma * P.
+    A ``force`` F(Q0.., P0.., t) turns the field into dP/dt = -grad_a H + F;
+    ``linear_drag(gamma)`` returns F = (-gamma * P0, ..).
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")

@@ -60,9 +60,9 @@ def _perturbed_state(Q0, P0, seed):
     return sx.ExtendedState(*(base + 0.01 * rng.uniform(-1.0, 1.0, base.shape) for base in (Q0, P0, Q0, P0)))
 
 
-def _clocked_force(pos, mom, t):
-    # Depends on time, so the per-kind stage clocks and t0 enter the digest.
-    return -0.05 * mom + 0.01 * math.cos(3.0 * t)
+def _clocked_force(*abt):
+    # F(a0.., b0.., t): depends on time, so the per-kind stage clocks and t0 enter the digest.
+    return [-0.05 * b + 0.01 * math.cos(3.0 * abt[-1]) for b in abt[len(abt) // 2:-1]]
 
 
 def _run(case: str, name: str) -> str:

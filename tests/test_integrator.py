@@ -300,30 +300,31 @@ class TestOneReportPerFault:
         return sx.HamiltonianModel("drift", 1, value=lambda a, b: b[..., 0], grad_components=grad_components)
 
     @staticmethod
-    def drift_run(lanes, n_steps, stride, escape_bound, model, observers=(), force=None):
-        """A drift run on one lane or a narrow batch; the leading lane holds q = 1 + step at each sample."""
-        Q0 = np.array([[1.0], [0.5], [0.25]])[:lanes]
+    def drift_run(lanes, n_steps, stride, escape_bound, model, force=None):
+        """A drift run from q = 1, 1/2, 1/4, ...; the leading lane holds q = 1 + step at each sample."""
+        Q0 = 0.5 ** np.arange(lanes, dtype=float)[:, None]
         if lanes == 1:
             cfg = sx.IntegratorConfig(1.0, 0.0, 2, n_steps)
-            return sx.integrate(Q0[0], [0.0], cfg, model, observers, force=force, stride=stride,
-                                escape_bound=escape_bound)
+            return sx.integrate(Q0[0], [0.0], cfg, model, force=force, stride=stride, escape_bound=escape_bound)
         assert force is None  # integrate_batch takes no force
         return sx.integrate_batch(Q0, np.zeros_like(Q0), 1.0, 0.0, 2, n_steps, model,
                                   stride=stride, escape_bound=escape_bound)
 
     @pytest.mark.parametrize("lanes, form", [
-        (1, "components"), (3, "components"), (1, "array_form"), (3, "array_form"), (1, "forced"),
-    ], ids=["one_lane", "narrow", "one_lane_array_form", "narrow_array_form", "one_lane_forced"])
+        (1, "components"), (3, "components"), (20, "components"),
+        (1, "array_form"), (3, "array_form"), (20, "array_form"), (1, "forced"),
+    ], ids=["one_lane", "narrow", "columns", "one_lane_array_form", "narrow_array_form", "columns_array_form",
+            "one_lane_forced"])
     @pytest.mark.parametrize("stride", [1, 3])
     @pytest.mark.parametrize("sample", [0, 1, 255, 256, 257, -1])
     def test_blocked_check_reports_as_a_check_per_sample(self, lanes, form, stride, sample):
         model, n_steps = self.drift_model(), 800
         model = array_form(model) if form == "array_form" else model
-        force = (lambda pos, mom, t: 0.0 * mom) if form == "forced" else None  # kicks by zero: still a drift
+        force = (lambda a0, b0, t: (0.0 * b0,)) if form == "forced" else None  # kicks by zero: still a drift
         full = self.drift_run(lanes, n_steps, stride, math.inf, model, force=force)
         sample %= len(full)
         bound = full.times[sample] + 0.5  # sample j holds 1 + its step: it is the first beyond the bound
-        # The reference checks every sample, as the columns do.
+        # The reference checks every sample.
         biggest = [np.abs(s).max() for s in full.states]
         first = next(j for j, b in enumerate(biggest) if not b <= bound)
         assert first == sample
@@ -334,7 +335,7 @@ class TestOneReportPerFault:
         np.testing.assert_array_equal(err.value.partial.times, full.times[:first])
         np.testing.assert_array_equal(err.value.partial.states, full.states[:first])
 
-    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    @pytest.mark.parametrize("lanes", [1, 3, 20], ids=["one_lane", "narrow", "columns"])
     def test_escape_before_a_raising_step_wins(self, lanes):
         # Sample 5 holds q = 6, beyond the bound 5.5; the gradient raises in step 9, where a stage sees x = 9.5.
         with pytest.raises(sx.TrajectoryEscapedError, match=r"at step 5$") as err:
@@ -342,7 +343,7 @@ class TestOneReportPerFault:
         assert len(err.value.partial) == 5
         assert np.abs(err.value.partial.states).max() == 5.0
 
-    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    @pytest.mark.parametrize("lanes", [1, 3, 20], ids=["one_lane", "narrow", "columns"])
     def test_other_error_keeps_every_stored_sample(self, lanes):
         # Step 9 sees x = 9.5 > 9 and raises; the samples of steps 0-8 were stored before it.
         with pytest.raises(sx.DomainError, match="beyond 9") as err:
@@ -351,20 +352,8 @@ class TestOneReportPerFault:
         np.testing.assert_array_equal(err.value.partial.times, full.times)
         np.testing.assert_array_equal(err.value.partial.states, full.states)
 
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_observers_see_every_sample_once_in_order(self, stride):
-        seen = []
-        observer = lambda t, s: seen.append((t, s.to_array().copy()))  # noqa: E731
-        traj = self.drift_run(1, 600, stride, math.inf, self.drift_model(), [observer])
-        np.testing.assert_array_equal([t for t, _ in seen], traj.times)
-        np.testing.assert_array_equal(np.stack([s for _, s in seen]), traj.states)
-        seen.clear()
-        with pytest.raises(sx.TrajectoryEscapedError) as err:
-            self.drift_run(1, 600, stride, 300.0, self.drift_model(), [observer])
-        np.testing.assert_array_equal([t for t, _ in seen], err.value.partial.times)
-
     @pytest.mark.parametrize("name", ["product1d", "nls"])
-    @pytest.mark.parametrize("lanes", [1, 3], ids=["one_lane", "narrow"])
+    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
     def test_escaping_builtin_model_emits_no_runtime_warning(self, name, lanes):
         # A start of 1e100 overflows to inf and then NaN in its first steps; the run goes on to its check.
         model = sx.get_model(name)
@@ -391,16 +380,30 @@ class TestOneReportPerFault:
 
 
 class TestDissipative:
-    def test_zero_force_bitwise_equal(self, product):
+    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    def test_zero_force_bitwise_equal(self, product, lanes):
         rng = np.random.default_rng(3)
-        s = random_state(rng)
+        shape = (1,) if lanes == 1 else (lanes, 1)
+        s = sx.ExtendedState(*(rng.uniform(-1.5, 1.5, shape) for _ in range(4)))
         scheme = build_scheme(4)
         plain = apply_scheme(s, scheme, 0.05, 20.0, product)
-        # A force may also return a scalar that broadcasts against the momentum.
-        for zero in (lambda pos, mom, t: np.zeros_like(mom), lambda pos, mom, t: 0.0):
+        # A component may also be a float that broadcasts against a batch's momentum column.
+        for zero in (lambda a0, b0, t: (0.0 * b0,), lambda a0, b0, t: (0.0,)):
             forced = apply_scheme(s, scheme, 0.05, 20.0, product, force=zero)
             for a, b in zip(plain, forced):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name, components", [("product1d", (0.0, 0.0)), ("nls", (0.0,))],
+                             ids=["too_many", "too_few"])
+    def test_wrong_force_component_count_raises(self, name, components):
+        model = sx.get_model(name)
+        Q0, P0 = np.full(model.dim, 0.5), np.zeros(model.dim)
+        force = lambda *abt: components  # noqa: E731
+        for call in (lambda: sx.integrate(Q0, P0, sx.IntegratorConfig(0.1, 1.0, 2, 3), model, force=force),
+                     lambda: apply_scheme(sx.embed(Q0, P0), build_scheme(2), 0.1, 1.0, model, force),
+                     lambda: sx.rk4_trajectory(model, Q0, P0, 0.1, 3, force=force)):
+            with pytest.raises(ValueError):
+                call()
 
     def test_richardson_order_at_least_two(self, product):
         # Forced product run against the certified dissipative reference.
@@ -451,15 +454,6 @@ class TestIntegrate:
         traj = sx.integrate(np.array([-3.0]), np.array([0.0]), cfg, product, stride=10)
         assert len(traj) == 12
         assert traj.times[-1] == pytest.approx(103 * 0.01, rel=1e-15)
-
-    def test_observers_called_at_samples(self, product):
-        seen = []
-        cfg = sx.IntegratorConfig(0.01, 20.0, 2, 20)
-        sx.integrate(
-            np.array([-3.0]), np.array([0.0]), cfg, product,
-            observers=[lambda t, s: seen.append(t)], stride=5,
-        )
-        assert len(seen) == 5
 
     def test_escape_guard_aborts_with_partial(self):
         # Cubic blowup: solutions of dq/dt = q^3-ish escape in finite time.

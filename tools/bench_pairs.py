@@ -46,7 +46,9 @@ stores every step. At the same widths, cell ``product/<lanes>/array_form``
 runs the product with its gradient in array form only (one call of the
 pack/unpack adapter per lane on a narrow batch), and cell
 ``product/<lanes>/rk4_drag`` times ``oracles.rk4_trajectory`` with
-``linear_drag(0.05)``, a forced batch. A cell is the
+``linear_drag(0.05)``, a forced batch. Cell ``product/1/drag`` times a
+one-lane ``integrate`` with ``linear_drag(0.05)``: the forced run of the
+command line, whose force is called in every A and B stage. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -72,7 +74,7 @@ SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_LANE_OMEGA = (4, 16)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag]": us per step}; each cell is the
+# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag]": us per step}; each cell is the
 # fastest of 256-step runs repeated for 0.1 s.
 MICRO_SCRIPT = """
 import json, sys, time
@@ -103,6 +105,10 @@ for name, model, q0, p0, widths, omega_widths in (
         if lanes in widths:
             cells[f"{name}/{lanes}"] = us_per_step(Q, P, 10.0, model)
             cells[f"{name}/{lanes}/stride100"] = us_per_step(Q, P, 10.0, model, 100)
+        if lanes == 1 and name == "product":
+            drag, cfg = sx.linear_drag(0.05), sx.IntegratorConfig(0.01, 10.0, 4, 256)
+            cells[f"{name}/1/drag"] = us_per_step(
+                Q, P, 10.0, model, run=lambda: sx.integrate(Q[0], P[0], cfg, model, force=drag))
         if lanes in omega_widths:
             cells[f"{name}/{lanes}/lane_omega"] = us_per_step(Q, P, 10.0 * rng.uniform(0.5, 2.0, lanes), model)
         if lanes in omega_widths and name == "product":

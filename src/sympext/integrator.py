@@ -296,10 +296,10 @@ _CHECK_BLOCK = 256
 
 def _first_escape(out, first, stop, escape_bound) -> int:
     """Index of the first of the samples out[first:stop] beyond the bound or NaN; ``stop`` if none."""
-    block = np.abs(out[first:stop])
-    if first == stop or block.max() <= escape_bound:  # false for NaN
+    block = out[first:stop]  # min and max, not abs: a block of 256 numpy rows makes no temporary
+    if first == stop or -escape_bound <= block.min() and block.max() <= escape_bound:  # false for NaN
         return stop
-    return first + int(np.argmin(block.reshape(len(block), -1).max(axis=1) <= escape_bound))
+    return first + int(np.argmin(np.abs(block).reshape(len(block), -1).max(axis=1) <= escape_bound))
 
 
 def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):

@@ -287,21 +287,21 @@ class TestOneReportPerFault:
                 call()
 
     @staticmethod
-    def drift_model(limit=math.inf):
-        """H(a, b) = b: each order-2 step at delta = 1 moves q and x up by one.
+    def drift_model(limit=math.inf, rate=1.0):
+        """H(a, b) = rate * b: each order-2 step at delta = 1 moves q and x by ``rate``.
 
         The gradient raises DomainError once a stage sees a position beyond ``limit``.
         """
         def grad_components(a, b):
             if np.any(a > limit):  # a float, or a column through the array form
                 raise sx.DomainError(f"position {a} beyond {limit}")
-            return (0.0,), (1.0,)
+            return (0.0,), (rate,)
 
-        return sx.HamiltonianModel("drift", 1, value=lambda a, b: b[..., 0], grad_components=grad_components)
+        return sx.HamiltonianModel("drift", 1, value=lambda a, b: rate * b[..., 0], grad_components=grad_components)
 
     @staticmethod
     def drift_run(lanes, n_steps, stride, escape_bound, model, force=None):
-        """A drift run from q = 1, 1/2, 1/4, ...; the leading lane holds q = 1 + step at each sample."""
+        """A drift run from q = 1, 1/2, 1/4, ...; at rate 1 the leading lane holds q = 1 + step at each sample."""
         Q0 = 0.5 ** np.arange(lanes, dtype=float)[:, None]
         if lanes == 1:
             cfg = sx.IntegratorConfig(1.0, 0.0, 2, n_steps)
@@ -342,6 +342,16 @@ class TestOneReportPerFault:
             self.drift_run(lanes, 800, 1, 5.5, self.drift_model(limit=9.0))
         assert len(err.value.partial) == 5
         assert np.abs(err.value.partial.states).max() == 5.0
+
+    @pytest.mark.parametrize("lanes", [1, 3, 20], ids=["one_lane", "narrow", "columns"])
+    def test_escape_below_minus_the_bound_is_reported(self, lanes):
+        # The drift runs downward, so the samples leave the bound through -5.5.
+        model = self.drift_model(rate=-1.0)
+        full = self.drift_run(lanes, 20, 1, math.inf, model)
+        first = int(np.argmax(full.states.reshape(len(full), -1).min(axis=1) < -5.5))
+        with pytest.raises(sx.TrajectoryEscapedError, match=f"exceeds bound 5.500e\\+00 at step {first}$") as err:
+            self.drift_run(lanes, 800, 1, 5.5, model)
+        np.testing.assert_array_equal(err.value.partial.states, full.states[:first])
 
     @pytest.mark.parametrize("lanes", [1, 3, 20], ids=["one_lane", "narrow", "columns"])
     def test_other_error_keeps_every_stored_sample(self, lanes):

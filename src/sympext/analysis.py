@@ -420,7 +420,7 @@ def poincare_section(
 
     states, skipped = section_initial_conditions(model, ic_grid, omega, shell, max_lanes=max_lanes)
     n_lanes = len(states)
-    kernel = _kernel(build_scheme(order), delta, omega, states[:, 0].shape, model)
+    runner = _kernel(build_scheme(order), delta, omega, states[:, 0].shape, model)
     shell_tol = _SHELL_RTOL * (1.0 + abs(shell))
 
     found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]
@@ -432,7 +432,7 @@ def poincare_section(
         n = min(_SECTION_CHUNK, max_steps - done)
         active = np.flatnonzero(counts < max_crossings)
         try:
-            run = _drive(kernel, np.moveaxis(states[active], 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
+            run = _drive(runner, np.moveaxis(states[active], 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
         except SympextError as exc:
             raise type(exc)(f"section steps {done}-{done + n}: {exc}") from None
         done += n

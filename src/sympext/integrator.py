@@ -118,19 +118,48 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
     return apply_scheme(s, CompositionScheme((("C", 1.0),)), delta, omega, None)
 
 
-# -- the generated step kernel ---------------------------------------------
+# -- the generated runners --------------------------------------------------
 #
-# One step of a composition is straight-line Python over the 4d lane
-# variables q0..q{d-1}, p0.., x0.., y0.., a few source lines per stage. The
-# same source runs on Python floats (one lane at a time) and on numpy columns
-# (a batch): every operation is elementwise and in the order of the (..., d)
-# array formulas, so both give the bits of the array arithmetic. The compiled
-# source depends only on the stage kinds, d, the force's presence and the
-# gradient source; substeps and rotations are closure constants bound per call.
+# A runner run(z, k, n, stride, put, t0, delta) takes n steps from the lane
+# state z at step k, hands every stride-th state to put and returns the last.
+# Its loop body is straight-line Python over the lane variables, a few lines
+# per stage. The same source runs on Python floats (one lane) and on numpy
+# columns (a batch): every operation is elementwise and in the order of the
+# (..., d) array formulas, so both give the bits of the array arithmetic.
+# Kicks and drifts update their lane in place, so a column state handed to
+# put changes with the next step. The compiled source depends only on the
+# stage kinds, d, the force's presence and the gradient source; substeps and
+# rotations are closure constants bound per call.
 
 
-def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None) -> list[str]:
-    """Source lines of stage k: one exact flow over the lane variables."""
+def _evaluation_lines(pos: list[str], mom: list[str], source: str | None, clock: str | None,
+                    evaluate: bool = True) -> list[str]:
+    """Source lines that bind a0.. and b0.. to the expressions ``pos`` and ``mom``, then evaluate there.
+
+    The gradient ga0.., gb0.. is the spliced ``source``, or one call of G
+    when there is none, and is left out without ``evaluate``. A ``clock``
+    adds one call of the force at that time into f0..; a force that returns
+    another number of components raises ValueError.
+    """
+    a, b, ga, gb, f = ([f"{c}{i}" for i in range(len(pos))] for c in ("a", "b", "ga", "gb", "f"))
+    args = ", ".join(a + b)
+    lines = ["; ".join(f"{u} = {v}" for u, v in zip(a + b, pos + mom))]
+    if evaluate:
+        lines += source.splitlines() if source else [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
+    return lines + ([f"({', '.join(f)},) = F({args}, {clock})"] if clock else [])
+
+
+def _roles(kind: str, d: int) -> list[list[str]]:
+    """Lane names of an A or B stage: the position and momentum it reads, the kicked momentum, the drifted position."""
+    return [[f"{c}{i}" for i in range(d)] for c in {"A": "qypx", "B": "xpyq"}[kind]]
+
+
+def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None, evaluate: bool) -> list[str]:
+    """Source lines of stage k: one exact flow over the lane variables.
+
+    Without ``evaluate`` the stage reuses the gradient that the previous
+    stage of its kind left in ga0.., gb0.. at the same arguments.
+    """
     q, p, x, y = ([f"{c}{i}" for i in range(d)] for c in "qpxy")
     h = f"h{k}"
     if kind == "C":
@@ -145,53 +174,88 @@ def _stage_source(k: int, kind: str, d: int, forced: bool, source: str | None) -
     if kind == "-":
         return ["pass"]  # a rotation by a zero angle
     # A: H(q, y) kicks p and drifts x; B: H(x, p) drifts q and kicks y.
-    pos, mom, kicked, drifted, clock = (q, y, p, x, "ta") if kind == "A" else (x, p, y, q, "tb")
-    a, b, ga, gb, f = ([f"{c}{i}" for i in range(d)] for c in ("a", "b", "ga", "gb", "f"))
-    args = ", ".join(a + b)
-    lines = ["; ".join(f"{u} = {v}" for u, v in zip(a + b, pos + mom))]
-    # The model's gradient source, spliced, or one call of its gradient function.
-    lines += source.splitlines() if source else [f"({', '.join(ga)},), ({', '.join(gb)},) = G({args})"]
+    pos, mom, kicked, drifted = _roles(kind, d)
+    clock = ("ta" if kind == "A" else "tb") if forced else None
+    lines = _evaluation_lines(pos, mom, source, clock, evaluate) if evaluate or forced else []
     if forced:
-        parts = [f"({', '.join(f)},) = F({args}, {clock})"]
-        parts += [f"{kicked[i]} = {kicked[i]} + {h} * ({f[i]} - {ga[i]})" for i in range(d)]
+        parts = [f"{kicked[i]} += {h} * (f{i} - ga{i})" for i in range(d)]
     else:
-        parts = [f"{kicked[i]} = {kicked[i]} - {h} * {ga[i]}" for i in range(d)]
-    parts += [f"{drifted[i]} = {drifted[i]} + {h} * {gb[i]}" for i in range(d)]
+        parts = [f"{kicked[i]} -= {h} * ga{i}" for i in range(d)]
+    parts += [f"{drifted[i]} += {h} * gb{i}" for i in range(d)]
     if forced:
         parts.append(f"{clock} = {clock} + {h}")
     return lines + ["; ".join(parts)]
 
 
+def _runner_source(lanes: str, head: list[str], body: list[str]) -> list[str]:
+    """Source of ``run``: ``head`` once, then ``body`` per step, every stride-th state handed to put."""
+    return [
+        "    def run(z, k, n, stride, put, t0, delta):",
+        f"        {lanes} = z",
+        *("        " + line for line in head),
+        "        for j in range(1, n + 1):",
+        *("            " + line for line in body),
+        f"            if not j % stride: put(({lanes},))",
+        f"        return {lanes}",
+        "    return run",
+    ]
+
+
 @functools.cache
 def _step_factory(kinds: str, d: int, forced: bool, source: str | None):
-    """Compiled factory of the step function for one stage-kind sequence.
+    """Compiled factory of the runner of one stage-kind sequence.
 
     ``kinds`` has one letter per stage, "-" for a rotation that a zero
     binding skips. ``source`` is the model's gradient source
     (``models._gradient``), spliced into each A and B stage, or None to call
     G instead. The factory takes the gradient components G, the force
     components F, the substeps h0.. and the cos/sin pairs of the rotations.
+    A forced step starts both stage clocks at t0 + k * delta. When the first
+    and last stages are of one kind, the first stage takes the last one's
+    gradient, which has the same arguments: the runner evaluates it once
+    before its loop, and a step one evaluation fewer than its A and B stages.
     """
     lanes = ", ".join(f"{c}{i}" for c in "qpxy" for i in range(d))
     consts = [f"h{k}" for k in range(len(kinds))] + [f"c{k}, s{k}" for k, kind in enumerate(kinds) if kind == "C"]
-    lines = [
-        f"def factory(G, F, {', '.join(consts)}):",
-        "    def step(z, t):",
-        f"        {lanes} = z",
-        "        ta = tb = t",
-    ]
-    lines += ["        " + line for k, kind in enumerate(kinds) for line in _stage_source(k, kind, d, forced, source)]
-    lines += [f"        return {lanes}", "    return step"]
-    return _compile(lines, f"<sympext step {kinds} d={d}>")["factory"]
+    seam = kinds[:1] in ("A", "B") and kinds[0] == kinds[-1]
+    head = _evaluation_lines(*_roles(kinds[0], d)[:2], source, None) if seam else []
+    body = ["ta = tb = t0 + k * delta; k += 1"] if forced else []
+    body += [line for k, kind in enumerate(kinds)
+             for line in _stage_source(k, kind, d, forced, source, evaluate=not (seam and k == 0))]
+    lines = [f"def factory(G, F, {', '.join(consts)}):", *_runner_source(lanes, head, body)]
+    return _compile(lines, f"<sympext run {kinds} d={d}>")["factory"]
+
+
+@functools.cache
+def _rk4_factory(d: int, forced: bool, source: str | None):
+    """Compiled factory of the classical RK4 runner over the lanes q0.., p0.., taking G and F.
+
+    Each of the four stages evaluates the gradient (spliced ``source``, or
+    one call of G) and calls F once, at t, t + h/2, t + h/2 and t + h, with
+    h = delta and t = t0 + k * delta. The arithmetic is the array
+    formula's: stage points a + (h/2) k and a + h k, slopes (gb, -ga + f),
+    and a + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    """
+    z = [f"{c}{i}" for c in "qp" for i in range(d)]
+    body = ["t = t0 + k * delta; k += 1"] if forced else []
+    stages = ((None, "t"), ("half", "t + half"), ("half", "t + half"), ("delta", "t + delta"))
+    for s, (scale, clock) in enumerate(stages):
+        point = [f"{v} + {scale} * k{s}{v}" for v in z] if scale else z
+        body += _evaluation_lines(point[:d], point[d:], source, clock if forced else None)
+        slope = [f"gb{i}" for i in range(d)] + [f"-ga{i} + f{i}" if forced else f"-ga{i}" for i in range(d)]
+        body.append("; ".join(f"k{s + 1}{v} = {e}" for v, e in zip(z, slope)))
+    body.append("; ".join(f"{v} = {v} + sixth * (k1{v} + 2.0 * k2{v} + 2.0 * k3{v} + k4{v})" for v in z))
+    lines = ["def factory(G, F):", *_runner_source(", ".join(z), ["half = 0.5 * delta; sixth = delta / 6.0"], body)]
+    return _compile(lines, f"<sympext rk4 d={d}>")["factory"]
 
 
 def _kernel(scheme: CompositionScheme, delta: float, omega, shape, model: HamiltonianModel | None, force=None):
-    """The step function z -> z of ``scheme`` at (delta, omega), called as step(z, t0).
+    """The runner of ``scheme`` at (delta, omega), advancing a lane set by whole blocks of steps.
 
     ``shape`` is the start's (..., d) position shape, and ``model`` gives the
     gradient of dimension d (None for C stages only). ``omega`` is a scalar
     or one binding per lane, of shape shape[:-1]; on at most ``_NARROW_LANES``
-    lanes the step also carries, as ``lanes``, one step per lane bound to
+    lanes the runner also carries, as ``lanes``, one runner per lane bound to
     that lane's elements of the same cos/sin arrays. ``force``, F(a0..,
     b0.., t) or None, adds its d components only to the momentum kicks of
     the A and B stages, and each stage kind keeps its own elapsed-time clock,
@@ -219,10 +283,10 @@ def _kernel(scheme: CompositionScheme, delta: float, omega, shape, model: Hamilt
                 rotations += [math.cos(ang), math.sin(ang)]
         kinds.append(kind)
     factory = _step_factory("".join(kinds), d, force is not None, getattr(grad, "_source", None))
-    step = factory(grad, force, *substeps, *rotations)
+    run = factory(grad, force, *substeps, *rotations)
     if om.ndim and om.size <= _NARROW_LANES:
-        step.lanes = [factory(grad, force, *substeps, *(float(r.flat[i]) for r in rotations)) for i in range(om.size)]
-    return step
+        run.lanes = [factory(grad, force, *substeps, *(float(r.flat[i]) for r in rotations)) for i in range(om.size)]
+    return run
 
 
 def _packed_pair(pair, d: int):
@@ -283,10 +347,12 @@ def _sample_indices(n_steps: int, stride: int) -> list[int]:
 # Widest batch that _drive advances lane by lane on Python floats, whatever
 # its binding, force or gradient form; wider batches step as numpy columns.
 # Microseconds per order-4 step at omega = 10, every step stored, columns ->
-# floats (2-CPU Xeon, Python 3.11, numpy 2.4, fastest of three rounds):
+# floats (2-CPU Xeon, Python 3.11, numpy 2.4, fastest of three processes):
 #   lanes            8          16          20          24          32
-#   product     81 -> 26    79 -> 54    80 -> 64    85 -> 78    83 -> 107
-#   2-mode     322 -> 145  346 -> 289  345 -> 367  323 -> 429  322 -> 578
+#   product     78 -> 17    79 -> 33    78 -> 40    77 -> 49    77 -> 68
+#   2-mode     252 -> 55   287 -> 109  270 -> 143  279 -> 178  282 -> 233
+# Since runners take whole blocks, floats win up to 32 lanes; the limit was
+# set when they stepped one call per step, and a wider one is not yet chosen.
 _NARROW_LANES = 16
 
 # Steps between two escape checks of a run in any layout (the check waits for a
@@ -302,71 +368,105 @@ def _first_escape(out, first, stop, escape_bound) -> int:
     return first + int(np.argmin(np.abs(block).reshape(len(block), -1).max(axis=1) <= escape_bound))
 
 
-def _drive(kernel, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
+def _discard(state):
+    """A put that keeps nothing: a replayed step hands its state back as the runner's result."""
+
+
+def _drive(runner, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
     """The one trajectory loop behind every sampled run.
 
-    Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` calls
-    z = kernel(z, t), stores every ``stride``-th state (the final state
-    always included) in its (..., n_blocks, d) output row and checks the
-    rows against the escape bound. A sample counts as stored once it
-    passed the check. Returns wrap(times, states); any SympextError
-    raised on the way leaves with wrap of the stored samples attached as
-    ``partial``.
+    Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` steps of
+    the ``runner`` (``_kernel``, ``_rk4_factory``), stores every
+    ``stride``-th state (the final state always included) in its
+    (..., n_blocks, d) output row and checks the rows against the escape
+    bound. A sample counts as stored once it passed the check. Returns
+    wrap(times, states); any SympextError raised on the way leaves with
+    wrap of the stored samples attached as ``partial``.
 
-    The lane count alone picks the layout. One lane runs as Python floats.
-    A batch of at most ``_NARROW_LANES`` lanes runs as one float list per
-    lane, all lanes stepped in lockstep, lane i by the kernel's ``lanes[i]``
-    if it binds one step per lane and by the kernel itself if not; a wider
-    batch runs as one numpy column per component. Each operation is
-    elementwise in all three layouts, so they store the same bits.
+    The start is checked at once; then the runner takes blocks, each ending
+    at the first sample ``_CHECK_BLOCK`` or more steps after the previous
+    one or at the end, whose rows are checked together. The lane count
+    alone picks the layout: at most ``_NARROW_LANES`` lanes run on Python
+    floats one lane after another, lane i by the runner's ``lanes[i]`` if
+    it binds one runner per lane; a wider batch runs as one numpy column
+    per component, each sample copied into its row when handed over. Both
+    layouts store the same bits.
 
-    The start is checked at once; then every layout checks its pending
-    rows together at the first sample ``_CHECK_BLOCK`` or more steps after
-    the previous check, and at the end. Until its check a run may step on
-    past an escape, with numpy's overflow and invalid warnings off. The
-    error names the first offending sample, and a step that raises after
-    an unchecked escape reports that escape instead, so the error and
-    ``partial`` are those of a check at every sample.
+    Within a block a run may step on past an escape, with numpy's overflow
+    and invalid warnings off. The error names the first offending sample,
+    and a step that raises after an unchecked escape reports that escape
+    instead. A float block that raises is replayed in lockstep from its
+    start, one step of every lane per call (its gradient and force see
+    those steps twice), so the error and ``partial`` are those of a
+    lockstep run checked at every sample.
     """
     sample_at = _sample_indices(n_steps, stride)
     times = t0 + delta * np.asarray(sample_at, dtype=float)
     start = np.stack(blocks, axis=-2)
     out = np.empty((len(sample_at),) + start.shape)
+    out[0] = start
     width = start.shape[-2] * start.shape[-1]
     n_lanes = math.prod(start.shape[:-2])
     if not n_lanes:
         raise ValueError("empty batch: a run needs at least one lane")
-    step = kernel
-    if start.ndim > 2 and n_lanes <= _NARROW_LANES:
+    n_stored = 1  # rows written
+
+    if n_lanes <= _NARROW_LANES:
         rows = out.reshape(len(sample_at), n_lanes, width)
-        z = start.reshape(n_lanes, width).tolist()
-        per_lane = getattr(kernel, "lanes", None)  # lane i's own step, or None: one serves all (zip costs 1-5%)
-        step = (lambda lanes, t: [kernel(lane, t) for lane in lanes]) if per_lane is None else (
-            lambda lanes, t: [own(lane, t) for own, lane in zip(per_lane, lanes)])
+        lanes = rows[0].tolist()
+        runners = getattr(runner, "lanes", None) or [runner] * n_lanes
+
+        def advance(k, n):
+            nonlocal n_stored
+            starts = lanes.copy()
+            try:
+                for i, run in enumerate(runners):
+                    held = []
+                    lanes[i] = run(lanes[i], k, n, stride, held.append, t0, delta)
+                    if n % stride:
+                        held.append(lanes[i])
+                    rows[n_stored:n_stored + len(held), i] = held
+                n_stored += len(held)
+                return
+            except Exception:
+                lanes[:] = starts  # the replay below raises afresh
+            for k in range(k, k + n):
+                lanes[:] = [run(z, k, 1, 1, _discard, t0, delta) for run, z in zip(runners, lanes)]
+                if k + 1 == sample_at[n_stored]:
+                    rows[n_stored] = lanes
+                    n_stored += 1
     else:
         rows = np.moveaxis(out.reshape(out.shape[:-2] + (width,)), -1, 1)
         z = unstack(start.reshape(start.shape[:-2] + (width,)))
-    n_stored = n_checked = next_check = 0  # rows written; rows of them within the bound; step of the next check
+
+        def put(state):
+            nonlocal n_stored
+            rows[n_stored] = state
+            n_stored += 1
+
+        def advance(k, n):
+            nonlocal z
+            z = runner(z, k, n, stride, put, t0, delta)
+            if n % stride:
+                put(z)
+
+    per_block = -(-_CHECK_BLOCK // stride) * stride  # steps from one sample to the first one a block later
+    k = n_checked = 0  # steps taken; stored rows within the bound
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps + 1):
-                if k:
-                    try:
-                        z = step(z, t0 + (k - 1) * delta)
-                    except Exception:
-                        n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
-                        if n_checked == n_stored:
-                            raise
-                        break  # an unchecked escape came first
-                if k != sample_at[n_stored]:
-                    continue
-                rows[n_stored] = z
-                n_stored += 1
-                if k >= next_check:
+            while True:
+                n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
+                if n_checked < n_stored or k == n_steps:
+                    break
+                n = min(per_block, n_steps - k)
+                try:
+                    advance(k, n)
+                except Exception:
                     n_checked = _first_escape(out, n_checked, n_stored, escape_bound)
-                    if n_checked < n_stored:
-                        break
-                    next_check = min(k + _CHECK_BLOCK, n_steps)
+                    if n_checked == n_stored:
+                        raise
+                    break  # an unchecked escape came first
+                k += n
         if n_checked < n_stored:
             biggest = np.abs(out[n_checked]).max()
             raise TrajectoryEscapedError(
@@ -399,8 +499,8 @@ def integrate(
     raised mid-run carries the partial trajectory of the samples before it.
     """
     s0 = embed(Q0, P0)
-    kernel = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.q.shape, model, force)
-    return _drive(kernel, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0)
+    run = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.q.shape, model, force)
+    return _drive(run, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0)
 
 
 def integrate_batch(
@@ -425,5 +525,5 @@ def integrate_batch(
     om = np.asarray(omega, dtype=float)
     for extreme in (om.min(), om.max()) if om.size else ():  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
-    kernel = _kernel(build_scheme(order), delta, omega, s0.q.shape, model)
-    return _drive(kernel, s0, delta, n_steps, stride, Trajectory, escape_bound)
+    run = _kernel(build_scheme(order), delta, omega, s0.q.shape, model)
+    return _drive(run, s0, delta, n_steps, stride, Trajectory, escape_bound)

@@ -42,9 +42,9 @@ class HamiltonianModel:
     OverflowError or ZeroDivisionError where numpy would give inf or NaN.
 
     A built-in model states its gradient once, as source (``_gradient``):
-    the step kernel splices it into each A and B stage, and its
-    ``grad_components`` is that source compiled. The step calls any other
-    gradient once per A or B stage.
+    the generated runners splice it into each A and B stage that evaluates
+    and each RK4 stage, and its ``grad_components`` is that source
+    compiled. The runners call any other gradient there instead.
     """
 
     name: str
@@ -79,7 +79,7 @@ def _gradient(source: str, d: int):
     """``grad_components`` compiled once per straight-line source, which it carries as ``_source``.
 
     The source reads a0..a{d-1} and b0..b{d-1} and assigns ga0.. and gb0..;
-    its temporaries start with "_", so the step kernel can splice it into a stage.
+    its temporaries start with "_", so a generated runner can splice it into a stage.
     """
     a, b, ga, gb = ([f"{c}{i}" for i in range(d)] for c in ("a", "b", "ga", "gb"))
     lines = [f"def grad({', '.join(a + b)}):", *("    " + line for line in source.splitlines()),
@@ -142,16 +142,17 @@ def schwarzschild_hamiltonian() -> HamiltonianModel:
 @functools.cache
 def _nls_source(n_modes: int) -> str:
     """Straight-line gradient source of the n-mode system, q = a and p = b."""
-    lines = [f"_r = a{i} * a{i} + b{i} * b{i}; ga{i} = _r * a{i}; gb{i} = _r * b{i}" for i in range(n_modes)]
+    lines = [f"_aa{i} = a{i} * a{i}; _bb{i} = b{i} * b{i}; _r = _aa{i} + _bb{i}; ga{i} = _r * a{i}; gb{i} = _r * b{i}"
+             for i in range(n_modes)]
     # Each mode takes the coupling term of its right neighbor before the one
     # of its left neighbor; walking the bonds downward keeps that order.
     for m, n in ((i - 1, i) for i in range(n_modes - 1, 0, -1)):
         lines += [
-            f"_pp = b{m} * b{n}; _qq = a{m} * a{n}",
-            f"ga{m} = ga{m} - (2.0 * a{m} * (a{n} * a{n} - b{n} * b{n}) + 4.0 * _pp * a{n})",
-            f"ga{n} = ga{n} - (2.0 * a{n} * (a{m} * a{m} - b{m} * b{m}) + 4.0 * _pp * a{m})",
-            f"gb{m} = gb{m} - (2.0 * b{m} * (b{n} * b{n} - a{n} * a{n}) + 4.0 * b{n} * _qq)",
-            f"gb{n} = gb{n} - (2.0 * b{n} * (b{m} * b{m} - a{m} * a{m}) + 4.0 * b{m} * _qq)",
+            f"_pp = 4.0 * (b{m} * b{n}); _qq = a{m} * a{n}",
+            f"ga{m} = ga{m} - (2.0 * a{m} * (_aa{n} - _bb{n}) + _pp * a{n})",
+            f"ga{n} = ga{n} - (2.0 * a{n} * (_aa{m} - _bb{m}) + _pp * a{m})",
+            f"gb{m} = gb{m} - (2.0 * b{m} * (_bb{n} - _aa{n}) + 4.0 * b{n} * _qq)",
+            f"gb{n} = gb{n} - (2.0 * b{n} * (_bb{m} - _aa{m}) + 4.0 * b{m} * _qq)",
         ]
     return "\n".join(lines)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
-from .integrator import _FINITE, _components, _drive
+from .integrator import _FINITE, _components, _drive, _rk4_factory
 from .models import HamiltonianModel
 
 _AGM_TOL = 1e-16
@@ -150,29 +150,6 @@ class PhaseSeries:
         return self.Q.shape[-1]
 
 
-def _canonical_rhs(grad, force, z, t):
-    ga, gb = grad(*z)
-    if force is None:
-        return [*gb, *(-g for g in ga)]
-    return [*gb, *(-g + f for g, f in zip(ga, force(*z, t), strict=True))]
-
-
-def _rk4(grad, force, z, h, t):
-    """One classical RK4 step on the lane variables z = (Q components, P components).
-
-    ``grad`` is the gradient's per-component form (``integrator._components``),
-    ``force`` F(Q0.., P0.., t) or None; the lanes are Python floats for one
-    trajectory at a time or numpy columns for a batch.
-    """
-    half = 0.5 * h
-    k1 = _canonical_rhs(grad, force, z, t)
-    k2 = _canonical_rhs(grad, force, [a + half * k for a, k in zip(z, k1)], t + half)
-    k3 = _canonical_rhs(grad, force, [a + half * k for a, k in zip(z, k2)], t + half)
-    k4 = _canonical_rhs(grad, force, [a + h * k for a, k in zip(z, k3)], t + h)
-    sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-
-
 def _phase_series(times, states) -> PhaseSeries:
     return PhaseSeries(times, states[:, ..., 0, :], states[:, ..., 1, :])
 
@@ -196,8 +173,8 @@ def rk4_trajectory(
     Q = np.atleast_1d(np.asarray(Q0, dtype=float))
     P = np.atleast_1d(np.asarray(P0, dtype=float))
     grad = _components(model, Q.shape[-1])
-    return _drive(lambda z, t: _rk4(grad, force, z, delta, t), (Q, P), delta, n_steps, stride,
-                  _phase_series, _FINITE)
+    run = _rk4_factory(Q.shape[-1], force is not None, getattr(grad, "_source", None))(grad, force)
+    return _drive(run, (Q, P), delta, n_steps, stride, _phase_series, _FINITE)
 
 
 def reference_flow(

@@ -469,6 +469,30 @@ class TestCheckCommand:
         assert "criterion  6" in report
         assert code in (0, 4)
 
+    # The printed summaries of the four failing criteria, pinned byte for byte: a change that moves a
+    # ratio, slope or drift of theirs shows here, not only in the acceptance run.
+    FAILING_SUMMARIES = (
+        'criterion  1 [FAIL] omega-scan error table: slopes=(1.014, 0.995); ratios to expected values '
+        'amp=[2.009 2.087 2.032 2.048] phase=[2.001 2.038 2.029 1.973] (bands need <= 2.0; the measured '
+        'errors sit at a uniform factor two above the expected table, consistent with the expectations '
+        'assuming half this binding strength)',
+        'criterion  2 [FAIL] delta-scan error table: slope=3.850; ratios to expected values [1.224 1.952 '
+        '2.001 2.009] (bands need <= 2.0; same uniform factor two as the omega scan, saturating at the '
+        'largest step)',
+        'criterion  4 [FAIL] long-time energy comparison: extended-energy osc=1.923e+00 flat=True; RK4 '
+        'terminal=7.767e-01 monotone=True; ratio=0.40 (needs >= 10.0; at this step the binding rotation '
+        'advances 4 rad per substep, pumping an order-one bounded wobble)',
+        'criterion  5 [FAIL] copy-binding scaling: max|q-x|=[1.08e-09 5.61e-09 3.94e-08 1.91e-07] '
+        'slope=2.521 (band (-1.3, -0.7); the distances do satisfy the 1/omega bound itself with four '
+        'orders of margin, but grow with the binding strength)',
+    )
+
+    def test_failing_criteria_print_their_pinned_summaries(self, tmp_path, capsys):
+        assert main(["check", "--only", "1,2,4,5", "--out", str(tmp_path)]) == 4
+        expected = "".join(line + "\n" for line in self.FAILING_SUMMARIES)
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "check_report.txt").read_text(encoding="utf-8") == expected
+
     def test_unknown_criterion_rejected(self, tmp_path):
         assert main(["check", "--only", "99", "--out", str(tmp_path)]) == 2
 

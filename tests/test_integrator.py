@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympext as sx
-from sympext.integrator import _NARROW_LANES, apply_scheme, build_scheme, triple_jump_gamma
+from sympext.integrator import _CHECK_BLOCK, _NARROW_LANES, apply_scheme, build_scheme, triple_jump_gamma
 from test_golden import _clocked_force
 
 
@@ -362,6 +362,17 @@ class TestOneReportPerFault:
         np.testing.assert_array_equal(err.value.partial.times, full.times)
         np.testing.assert_array_equal(err.value.partial.states, full.states)
 
+    def test_last_narrow_lane_to_step_fails_first(self):
+        # Reversed starts q = 1/4, 1/2, 1: lane 2 leads, and the last stage of its step 9 sees q = 10 > 9.6.
+        # Lane by lane, lane 0 would run its block first and fail later; the lockstep replay reports lane 2.
+        Q0 = 0.5 ** np.arange(3.0)[::-1, None]
+        with pytest.raises(sx.DomainError) as err:
+            sx.integrate_batch(Q0, np.zeros_like(Q0), 1.0, 0.0, 2, 800, self.drift_model(limit=9.6))
+        assert str(err.value) == "position 10.0 beyond 9.6"
+        full = sx.integrate_batch(Q0, np.zeros_like(Q0), 1.0, 0.0, 2, 8, self.drift_model())
+        np.testing.assert_array_equal(err.value.partial.times, full.times)
+        np.testing.assert_array_equal(err.value.partial.states, full.states)
+
     @pytest.mark.parametrize("name", ["product1d", "nls"])
     @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
     def test_escaping_builtin_model_emits_no_runtime_warning(self, name, lanes):
@@ -603,6 +614,72 @@ class TestKernelProperties:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * (1.0 + np.max(np.abs(want))))
 
 
+class TestBlockSeams:
+    N_STEPS = 2 * _CHECK_BLOCK + 5  # two whole blocks and a short last one
+
+    @staticmethod
+    def recording_drag(seen):
+        """linear_drag(0.05) that appends every time it is called at to ``seen``."""
+        drag = sx.linear_drag(0.05)
+
+        def force(*abt):
+            seen.append(abt[-1])
+            return drag(*abt)
+
+        return force
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    def test_block_runs_equal_chained_single_steps(self, product, lanes, forced):
+        rng = np.random.default_rng(lanes)
+        shape = (1,) if lanes == 1 else (lanes, 1)
+        Q0, P0 = -3.0 + 0.5 * rng.uniform(-1.0, 1.0, shape), 0.5 * rng.uniform(-1.0, 1.0, shape)
+        delta, omega, t0, n = 0.01, 10.0, 0.5, self.N_STEPS
+        chained_seen, scheme = [], build_scheme(4)
+        force = self.recording_drag(chained_seen) if forced else None
+        chain = [sx.embed(Q0, P0)]
+        for k in range(n):
+            chain.append(apply_scheme(chain[-1], scheme, delta, omega, product, force, t0 + k * delta))
+        chain = np.stack([s.to_array() for s in chain])
+        for stride in (1, 7):
+            seen = []
+            force = self.recording_drag(seen) if forced else None
+            cfg = sx.IntegratorConfig(delta, omega, 4, n)
+            traj = sx.integrate(Q0, P0, cfg, product, force=force, stride=stride, t0=t0)
+            at = list(range(0, n + 1, stride)) + ([n] if n % stride else [])
+            np.testing.assert_array_equal(traj.states, chain[at])
+            np.testing.assert_array_equal(traj.times, t0 + delta * np.asarray(at, dtype=float))
+            # A narrow run calls the force lane after lane within a block, so compare the times as multisets.
+            assert sorted(seen) == sorted(chained_seen)
+            assert len(seen) == (10 * n * (lanes if lanes <= _NARROW_LANES else 1) if forced else 0)
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    def test_rk4_block_runs_equal_chained_single_steps(self, product, lanes, forced):
+        rng = np.random.default_rng(lanes)
+        shape = (1,) if lanes == 1 else (lanes, 1)
+        Q0, P0 = -3.0 + 0.5 * rng.uniform(-1.0, 1.0, shape), 0.5 * rng.uniform(-1.0, 1.0, shape)
+        delta, n = 0.01, self.N_STEPS
+        chain_seen = []
+        force = self.recording_drag(chain_seen) if forced else None
+        chain = [(Q0, P0)]
+        for _ in range(n):  # every one-step run starts at t = 0
+            step = sx.rk4_trajectory(product, *chain[-1], delta, 1, force=force)
+            chain.append((step.Q[-1], step.P[-1]))
+        chain = np.stack([np.stack(qp, axis=-2) for qp in chain])
+        for stride in (1, 7):
+            seen = []
+            force = self.recording_drag(seen) if forced else None
+            run = sx.rk4_trajectory(product, Q0, P0, delta, n, stride=stride, force=force)
+            at = list(range(0, n + 1, stride)) + ([n] if n % stride else [])
+            np.testing.assert_array_equal(samples(run), chain[at])
+            # Step k sees t = k * delta, t + delta / 2 twice and t + delta; a narrow run once per lane.
+            calls = (lanes if lanes <= _NARROW_LANES else 1) if forced else 0
+            times = [t + dt for t in (k * delta for k in range(n)) for dt in (0.0, 0.5 * delta, 0.5 * delta, delta)]
+            assert sorted(seen) == sorted(times * calls)
+            assert sorted(chain_seen) == sorted([0.0, 0.5 * delta, 0.5 * delta, delta] * n * calls)
+
+
 class TestSymplecticity:
     def test_flows_and_steps_are_symplectic(self, product):
         from sympext.checks import _state_map, _symplectic_defect
@@ -738,27 +815,34 @@ class TestSplicedGradient:
         omegas = omega * rng.uniform(0.5, 2.0, lanes)
 
         def runs(m, order):
+            Q, P = (Qb[0], Pb[0]) if lanes == 1 else (Qb, Pb)
+            rk4 = [samples(sx.rk4_trajectory(m, Q, P, delta, 12, stride=5)),
+                   samples(sx.rk4_trajectory(m, Q, P, delta, 3, force=sx.linear_drag(0.05)))]
             if lanes == 1:
                 cfg = sx.IntegratorConfig(delta, omega, order, 12)
-                return [sx.integrate(Qb[0], Pb[0], cfg, m, stride=5).states,
-                        sx.integrate(Qb[0], Pb[0], cfg, m, force=sx.linear_drag(0.05)).states]
-            return [sx.integrate_batch(Qb, Pb, delta, omega, order, 12, m, stride=5).states,
-                    sx.integrate_batch(Qb, Pb, delta, omegas, order, 3, m).states]
+                return rk4 + [sx.integrate(Q, P, cfg, m, stride=5).states,
+                              sx.integrate(Q, P, cfg, m, force=sx.linear_drag(0.05)).states]
+            return rk4 + [sx.integrate_batch(Q, P, delta, omega, order, 12, m, stride=5).states,
+                          sx.integrate_batch(Q, P, delta, omegas, order, 3, m).states]
 
         for order in (2, 4):
             for got, want in zip(runs(model, order), runs(called_copy(model), order)):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(SPLICED_MODELS))
-    @pytest.mark.parametrize("order, stages", [(2, 4), (4, 10)])
+    @pytest.mark.parametrize("order, stages", [(2, 4), (4, 10), ("rk4", 4)])
     def test_builtin_step_makes_no_gradient_call(self, name, order, stages):
         factory, Q0, P0, delta, omega = SPLICED_MODELS[name]
         model = factory()
         copy = called_copy(model)
-        cfg = sx.IntegratorConfig(delta, omega, order, 7)
-        spliced = gradient_calls(lambda: sx.integrate(Q0, P0, cfg, model), model.grad_components.__code__)
-        called = gradient_calls(lambda: sx.integrate(Q0, P0, cfg, copy), copy.grad_components.__code__)
-        assert (spliced, called) == (0, 7 * stages)
+        if order == "rk4":  # four evaluations at four stage points
+            run, calls = (lambda m: sx.rk4_trajectory(m, Q0, P0, delta, 7)), 7 * stages
+        else:  # the run's one block evaluates its first stage once, then each step's last A stage serves the next
+            cfg = sx.IntegratorConfig(delta, omega, order, 7)
+            run, calls = (lambda m: sx.integrate(Q0, P0, cfg, m)), 1 + 7 * (stages - 1)
+        spliced = gradient_calls(lambda: run(model), model.grad_components.__code__)
+        called = gradient_calls(lambda: run(copy), copy.grad_components.__code__)
+        assert (spliced, called) == (0, calls)
 
     def test_horizon_error_reads_as_from_the_called_gradient(self):
         # The second position copy dives inside r = 2 after sample 69; the next step's B stage refuses it.

@@ -48,7 +48,10 @@ pack/unpack adapter per lane on a narrow batch), and cell
 ``product/<lanes>/rk4_drag`` times ``oracles.rk4_trajectory`` with
 ``linear_drag(0.05)``, a forced batch. Cell ``product/1/drag`` times a
 one-lane ``integrate`` with ``linear_drag(0.05)``: the forced run of the
-command line, whose force is called in every A and B stage. A cell is the
+command line, whose force is called in every A and B stage. Cell
+``product/<lanes>/rk4`` times an unforced ``rk4_trajectory`` at 8 and 16
+lanes, which step lane by lane on floats, and at 17, which step as
+columns. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -73,8 +76,9 @@ PAIRS = 10
 SETUP_ONLY_RUNS = 12
 MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_LANE_OMEGA = (4, 16)
+MICRO_RK4 = (8, 16, 17)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag]": us per step}; each cell is the
+# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag|/rk4]": us per step}; each cell is the
 # fastest of 256-step runs repeated for 0.1 s.
 MICRO_SCRIPT = """
 import json, sys, time
@@ -93,12 +97,12 @@ def us_per_step(Q, P, omega, model, stride=1, run=None):
     return 1e6 * min(runs) / 256
 
 cells = {}
-all_lanes, lane_omega = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-for name, model, q0, p0, widths, omega_widths in (
-        ("product", sx.product_hamiltonian(), [-3.0], [0.0], all_lanes, lane_omega),
-        ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], all_lanes, lane_omega),
-        ("schwarzschild", sx.schwarzschild_hamiltonian(), [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], [1], [])):
-    for lanes in sorted({*widths, *omega_widths}):
+all_lanes, lane_omega, rk4_lanes = (json.loads(arg) for arg in sys.argv[1:4])
+for name, model, q0, p0, widths, omega_widths, rk4_widths in (
+        ("product", sx.product_hamiltonian(), [-3.0], [0.0], all_lanes, lane_omega, rk4_lanes),
+        ("2-mode", sx.nls_hamiltonian(2), [3.0, 0.01], [1.0, 0.0], all_lanes, lane_omega, []),
+        ("schwarzschild", sx.schwarzschild_hamiltonian(), [0.0, 20.0, 0.0], [0.97, 0.0, -4.47], [1], [], [])):
+    for lanes in sorted({*widths, *omega_widths, *rk4_widths}):
         rng = np.random.default_rng(lanes)
         Q = np.asarray(q0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(q0)))
         P = np.asarray(p0) + 0.05 * rng.uniform(-1.0, 1.0, (lanes, len(p0)))
@@ -117,6 +121,9 @@ for name, model, q0, p0, widths, omega_widths in (
             drag = sx.linear_drag(0.05)
             cells[f"{name}/{lanes}/rk4_drag"] = us_per_step(
                 Q, P, 10.0, model, run=lambda: rk4_trajectory(model, Q, P, 0.01, 256, force=drag))
+        if lanes in rk4_widths:
+            cells[f"{name}/{lanes}/rk4"] = us_per_step(
+                Q, P, 10.0, model, run=lambda: rk4_trajectory(model, Q, P, 0.01, 256))
 print(json.dumps(cells))
 """
 
@@ -162,13 +169,13 @@ def setup_only(trees: dict, workload: str, seeds: list[int]) -> dict:
     return {"unit": "s", "runs_per_side": SETUP_ONLY_RUNS, **{side: describe(values[side]) for side in trees}}
 
 
-def micro_table(trees: dict, lanes=MICRO_LANES, lane_omega=MICRO_LANE_OMEGA) -> dict:
+def micro_table(trees: dict, lanes=MICRO_LANES, lane_omega=MICRO_LANE_OMEGA, rk4_lanes=MICRO_RK4) -> dict:
     """Microseconds per integrate_batch step, per side and cell, over interleaved rounds."""
     rounds = {side: [] for side in trees}
     for i in range(MICRO_ROUNDS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             proc = subprocess.run([sys.executable, "-c", MICRO_SCRIPT, json.dumps(list(lanes)),
-                                   json.dumps(list(lane_omega))],
+                                   json.dumps(list(lane_omega)), json.dumps(list(rk4_lanes))],
                                   cwd=trees[side], env={**os.environ, "PYTHONPATH": str(trees[side] / "src")},
                                   capture_output=True, text=True, check=True)
             rounds[side].append(json.loads(proc.stdout))

@@ -10,7 +10,7 @@ from .models import MODEL_NAMES
 
 # Largest order and mode count a config may ask for, alone and together: each two orders triple the
 # step's A/B stages, each unrolling the gradient over the modes. A first one-lane run took 0.08/0.21/0.71 s
-# at order 12/14/16 (product), 0.9 s at order 8, 64 modes and 3.1 s, 971 MB at order 10, 64 modes (2-CPU Xeon).
+# at order 12/14/16 (product), 1.0 s, 328 MB at order 8, 64 modes and 3.4 s, 979 MB at order 10, 64 modes (2-CPU Xeon).
 _MAX_ORDER = 12
 _MAX_MODES = 64
 _MAX_UNROLLED = 82 * 64  # A/B stages times modes of order 8 at 64 modes

@@ -133,7 +133,7 @@ def flow_c(s: ExtendedState, delta: float, omega: float) -> ExtendedState:
 
 
 def _evaluation_lines(pos: list[str], mom: list[str], source: str | None, clock: str | None,
-                    evaluate: bool = True) -> list[str]:
+                      evaluate: bool = True) -> list[str]:
     """Source lines that bind a0.. and b0.. to the expressions ``pos`` and ``mom``, then evaluate there.
 
     The gradient ga0.., gb0.. is the spliced ``source``, or one call of G
@@ -213,7 +213,7 @@ def _step_factory(kinds: str, d: int, forced: bool, source: str | None):
     A forced step starts both stage clocks at t0 + k * delta. When the first
     and last stages are of one kind, the first stage takes the last one's
     gradient, which has the same arguments: the runner evaluates it once
-    before its loop, and a step one evaluation fewer than its A and B stages.
+    before its loop, and a step evaluates one fewer than its A and B stages.
     """
     lanes = ", ".join(f"{c}{i}" for c in "qpxy" for i in range(d))
     consts = [f"h{k}" for k in range(len(kinds))] + [f"c{k}, s{k}" for k, kind in enumerate(kinds) if kind == "C"]

@@ -411,6 +411,14 @@ def poincare_section(
     A full lane stops stepping at the end of its chunk of
     ``_SECTION_CHUNK`` steps, so it no longer aborts the section if it
     would turn non-finite later.
+
+    Crossings wait in a queue and are refined in one batch once a stepping
+    lane's count plus its queued crossings reaches ``max_crossings``, and
+    at the end; the chunks' bookkeeping then runs in order. Refinement is
+    elementwise, so the batches give each crossing the bits of a refinement
+    per chunk, and a lane below the bound cannot be full, so every chunk
+    steps the same lanes. A model's error while refining surfaces when its
+    batch is refined.
     """
     if model.dim != 1:
         raise ValueError("section extraction is implemented for 1-dof models")
@@ -426,7 +434,34 @@ def poincare_section(
     found = [(states, np.zeros(n_lanes, dtype=int), np.arange(n_lanes))]
     states = states.copy()  # found[0] keeps the starts
     counts = np.ones(n_lanes, dtype=int)
+    bound = counts.copy()  # counts plus the lane's queued crossings
+    queue = []  # per chunk: active lanes, crossing steps and lanes, (steps, lanes) shape, the (z0, z1) rows
     dropped = 0
+
+    def refine():
+        """Refine every queued crossing in one batch, then take each chunk's crossings in order."""
+        nonlocal dropped
+        z0, z1 = np.concatenate([chunk[-1] for chunk in queue], axis=1)
+        d0, d1 = (np.stack(extended_vector_field(model, omega, *state_from_array(z)), axis=1) for z in (z0, z1))
+        theta = _hermite_root(z0[:, 2, 0], z1[:, 2, 0], d0[:, 2, 0], d1[:, 2, 0], delta, _CROSSING_TOL)
+        points = _hermite_eval(theta[:, None, None], z0, z1, d0, d1, delta)
+        on_shell = ~(np.abs(extended_energy(model, omega, points) - shell) > shell_tol)
+        first = 0
+        for active, steps, lanes, shape, _ in queue:
+            chunk = slice(first, first + len(steps))
+            first = chunk.stop
+            kept = np.zeros(shape, dtype=int)
+            kept[steps, lanes] = on_shell[chunk]
+            # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
+            held = (counts[active] + np.cumsum(kept, axis=0) - kept)[steps, lanes]
+            met = held < max_crossings
+            take = met & on_shell[chunk]
+            dropped += int(np.sum(met & ~on_shell[chunk]))
+            found.append((points[chunk][take], held[take], active[lanes[take]]))
+            counts[active] = np.minimum(counts[active] + kept.sum(axis=0), max_crossings)
+        bound[:] = counts
+        queue.clear()
+
     done = 0
     while done < max_steps and np.any(counts < max_crossings):
         n = min(_SECTION_CHUNK, max_steps - done)
@@ -439,20 +474,13 @@ def poincare_section(
         states[active] = run[-1]
         x = run[:, :, 2, 0]
         steps, lanes = np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))  # lanes of the run, numbered in ``active``
-        z0, z1 = run[steps, lanes], run[steps + 1, lanes]
-        d0, d1 = (np.stack(extended_vector_field(model, omega, *state_from_array(z)), axis=1) for z in (z0, z1))
-        theta = _hermite_root(z0[:, 2, 0], z1[:, 2, 0], d0[:, 2, 0], d1[:, 2, 0], delta, _CROSSING_TOL)
-        points = _hermite_eval(theta[:, None, None], z0, z1, d0, d1, delta)
-        on_shell = ~(np.abs(extended_energy(model, omega, points) - shell) > shell_tol)
-        kept = np.zeros(x[1:].shape, dtype=int)
-        kept[steps, lanes] = on_shell
-        # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
-        held = (counts[active] + np.cumsum(kept, axis=0) - kept)[steps, lanes]
-        met = held < max_crossings
-        take = met & on_shell
-        dropped += int(np.sum(met & ~on_shell))
-        found.append((points[take], held[take], active[lanes[take]]))
-        counts[active] = np.minimum(counts[active] + kept.sum(axis=0), max_crossings)
+        queue.append((active, steps, lanes, x[1:].shape, run[np.stack([steps, steps + 1]), lanes]))
+        bound[active] += np.bincount(lanes, minlength=len(active))
+        # A lane whose bound is below max_crossings cannot be full: refine only when one might be.
+        if np.any(bound[active] >= max_crossings):
+            refine()
+    if queue:
+        refine()
 
     points, cross_arr, lane_arr = (np.concatenate(parts) for parts in zip(*found))
     # Canonical row order: by trajectory then crossing index, independent

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,10 +42,11 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Header and rows as CSV; a numeric cell is written as ``%.17g``, the bytes of ``_fmt``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+            fh.write(",".join(cell if isinstance(cell, str) else "%.17g" % cell for cell in row) + "\n")
 
 
 def _write_meta(path: Path, cfg: ExperimentConfig, notes=()):
@@ -111,10 +113,14 @@ def _energy_columns(traj: Trajectory, model, omega):
     return h, hbar, outside
 
 
+# Trajectory rows turned into Python floats at a time: a long run's table is never held as floats at once.
+_CSV_BLOCK = 4096
+
+
 def _trajectory_rows(traj: Trajectory, h, hbar):
-    q, p, x, y = traj.parts()
-    for i, t in enumerate(traj.times):
-        yield [t, *q[i], *p[i], *x[i], *y[i], h[i], hbar[i]]
+    for first in range(0, len(traj.times), _CSV_BLOCK):
+        rows = slice(first, first + _CSV_BLOCK)
+        yield from np.column_stack([traj.times[rows], *(c[rows] for c in traj.parts()), h[rows], hbar[rows]]).tolist()
 
 
 def _trajectory_header(d: int):
@@ -348,6 +354,7 @@ def cmd_check(numbers, out_dir: Path) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympext",

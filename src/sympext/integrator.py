@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -421,12 +422,13 @@ def _drive(runner, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
             starts = lanes.copy()
             try:
                 for i, run in enumerate(runners):
-                    held = []
-                    lanes[i] = run(lanes[i], k, n, stride, held.append, t0, delta)
+                    held = []  # the block's samples of lane i, one flat run of floats
+                    lanes[i] = run(lanes[i], k, n, stride, held.extend, t0, delta)
                     if n % stride:
-                        held.append(lanes[i])
-                    rows[n_stored:n_stored + len(held), i] = held
-                n_stored += len(held)
+                        held.extend(lanes[i])
+                    block = np.frombuffer(array("d", held)).reshape(-1, width)
+                    rows[n_stored:n_stored + len(block), i] = block
+                n_stored += len(block)
                 return
             except Exception:
                 lanes[:] = starts  # the replay below raises afresh

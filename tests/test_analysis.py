@@ -9,7 +9,15 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 import sympext as sx
-from sympext.analysis import CHAOS_THRESHOLD, REGULAR_THRESHOLD, _brent, _nn_mean_distance, drift_is_bounded
+from sympext.analysis import (
+    CHAOS_THRESHOLD,
+    REGULAR_THRESHOLD,
+    _brent,
+    _hermite_eval,
+    _hermite_root,
+    _nn_mean_distance,
+    drift_is_bounded,
+)
 from sympext.checks import _rotation_average_quadrature
 
 
@@ -268,6 +276,31 @@ class TestPoincare:
         # Crossing 0 of each lane is its seed: the stepping leaves the start states alone.
         np.testing.assert_array_equal(ab.points[ab.crossing_index == 0], [[0.0, 0.0]] * 2 + [[-0.5, -0.5]] * 2)
 
+    def test_refinement_runs_in_few_batches(self, monkeypatch):
+        # The benchmark's command line grid: the crossings of all its chunks are refined in a few batches.
+        import sympext.analysis as analysis
+
+        calls = {"_drive": 0, "_hermite_root": 0}
+
+        def counted(name):
+            inner = getattr(analysis, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counted(name))
+        grid = [(q, p) for q in np.linspace(-0.5, 0.5, 2) for p in np.linspace(-0.5, 0.5, 2)]
+        for omega in (0.0, 10.0):
+            calls.update(dict.fromkeys(calls, 0))
+            section = sx.poincare_section(sx.product_hamiltonian(), grid, omega, 10.0, max_crossings=128)
+            assert np.all(np.bincount(section.trajectory_id) == 128)
+            assert calls["_hermite_root"] <= section.n_trajectories + 1
+            assert calls["_hermite_root"] < calls["_drive"]
+
     def test_requires_one_dof_model(self):
         with pytest.raises(ValueError, match="1-dof"):
             sx.poincare_section(sx.nls_hamiltonian(2), [(0.0, 0.0)], 1.0, 10.0)
@@ -314,6 +347,38 @@ def _shell_brackets(omega, shell, q, p):
     ones = np.ones((len(ys), 1))
     vals = sx.extended_energy(model, omega, sx.ExtendedState(q * ones, p * ones, 0 * ones, ys[:, None])) - shell
     return residual, [(ys[i], ys[i + 1]) for i in range(len(ys) - 1) if vals[i] * vals[i + 1] < 0.0]
+
+
+# (f0, f1, d0, d1) at any h of the cubic 6 theta^2 - 4 theta^3 - 1, whose first midpoint is its root, and of a
+# cubic so steep that no midpoint of 80 passes comes within the tolerance.
+_EARLY = (-1.0, 1.0, 0.0, 0.0)
+_NEVER = (-1e300, 3e300, 0.0, 0.0)
+
+
+class TestHermiteRoot:
+    def test_special_elements(self):
+        f0, f1, d0, d1 = np.array([_EARLY, _NEVER]).T
+        theta = _hermite_root(f0, f1, d0, d1, 0.3, 1e-10)
+        assert theta[0] == 0.5
+        assert abs(_hermite_eval(theta[1], f0[1], f1[1], d0[1], d1[1], 0.3)) > 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.floats(-50.0, 50.0),
+                           st.floats(-50.0, 50.0), st.booleans()), max_size=12),
+        st.floats(0.01, 1.0),
+        st.data(),
+    )
+    def test_batch_is_the_parts_concatenated(self, rows, h, data):
+        # Refinement is elementwise: one call on a whole queue gives each crossing the bits of its own chunk's call.
+        elements = [(-a, b, d0, d1) if upward else (a, -b, d0, d1) for a, b, d0, d1, upward in rows]
+        for special in (_EARLY, _NEVER):
+            elements.insert(data.draw(st.integers(0, len(elements)), label="position"), special)
+        split = data.draw(st.integers(0, len(elements)), label="split")
+        f0, f1, d0, d1 = np.array(elements).T
+        whole = _hermite_root(f0, f1, d0, d1, h, 1e-10)
+        parts = [_hermite_root(f0[s], f1[s], d0[s], d1[s], h, 1e-10) for s in (slice(None, split), slice(split, None))]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
 
 
 class TestScipyOracles:

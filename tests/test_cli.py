@@ -1,4 +1,5 @@
 """Configuration parsing and the command line harness."""
+import math
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sympext as sx
-from sympext.cli import build_parser, main
+from sympext.cli import _write_csv, build_parser, main
 from sympext.config import ExperimentConfig, apply_overrides, config_presets, dump_config, parse_config_text
 
 
@@ -95,6 +96,16 @@ class TestIntegrateCommand:
         a = (tmp_path / "a" / "trajectory.csv").read_bytes()
         b = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert a == b
+
+    def test_rows_hold_the_trajectory_bits(self, tmp_path):
+        # More rows than one conversion block (cli._CSV_BLOCK) at d = 2: every cell reads back as the run's float.
+        text = "system = nls\nn_modes = 2\ndelta = 0.01\nomega = 50\nn_steps = 5000\norder = 2\n"
+        assert main(["integrate", "--config", write_config(tmp_path, text), "--out", str(tmp_path)]) == 0
+        table = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+        model = sx.get_model("nls", 2)
+        traj = sx.integrate(*sx.default_initial_condition("nls", 2), sx.IntegratorConfig(0.01, 50.0, 2, 5000), model)
+        energies = [model.value(*traj.projected()), sx.extended_energy(model, 50.0, traj.states)]
+        np.testing.assert_array_equal(table, np.column_stack([traj.times, *traj.parts(), *energies]))
 
     @pytest.mark.parametrize("command, base, cfg_text", [
         ("integrate", "trajectory", "system = product1d\nt_final = 1\ndelta = 0.05\nomega = 7\n"),
@@ -589,3 +600,15 @@ class TestCompareDissipative:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
         verdict = (tmp_path / "compare_verdict.txt").read_text()
         assert "terminal_scaled_errors_rk4" in verdict
+
+
+class TestCsvCells:
+    def test_special_cells_read_as_float_formatting(self, tmp_path):
+        # A numeric cell is written as %.17g; it must be the bytes of format(float(v), ".17g").
+        cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, -1e16, 5e-324, -5e-324, 1.7976931348623157e308,
+                 0.1, 2.0 / 3.0, 123456789012345678.0, 7, np.float64(-0.0), np.float64(math.nan),
+                 np.float64(1e16), np.float64(5e-324), np.float64(2.0 / 3.0)]
+        _write_csv(tmp_path / "cells.csv", ["v"], [cells, ["text", *cells]])
+        lines = (tmp_path / "cells.csv").read_text(encoding="utf-8").splitlines()
+        want = ",".join(format(float(v), ".17g") for v in cells)
+        assert lines == ["v", want, "text," + want]

@@ -374,7 +374,7 @@ class TestOneReportPerFault:
         np.testing.assert_array_equal(err.value.partial.states, full.states)
 
     @pytest.mark.parametrize("name", ["product1d", "nls"])
-    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    @pytest.mark.parametrize("lanes", [1, 3, _NARROW_LANES + 1], ids=["one_lane", "narrow", "columns"])
     def test_escaping_builtin_model_emits_no_runtime_warning(self, name, lanes):
         # A start of 1e100 overflows to inf and then NaN in its first steps; the run goes on to its check.
         model = sx.get_model(name)
@@ -401,7 +401,7 @@ class TestOneReportPerFault:
 
 
 class TestDissipative:
-    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    @pytest.mark.parametrize("lanes", [1, 3, _NARROW_LANES + 1], ids=["one_lane", "narrow", "columns"])
     def test_zero_force_bitwise_equal(self, product, lanes):
         rng = np.random.default_rng(3)
         shape = (1,) if lanes == 1 else (lanes, 1)
@@ -629,7 +629,7 @@ class TestBlockSeams:
         return force
 
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    @pytest.mark.parametrize("lanes", [1, 3, _NARROW_LANES + 1], ids=["one_lane", "narrow", "columns"])
     def test_block_runs_equal_chained_single_steps(self, product, lanes, forced):
         rng = np.random.default_rng(lanes)
         shape = (1,) if lanes == 1 else (lanes, 1)
@@ -654,7 +654,7 @@ class TestBlockSeams:
             assert len(seen) == (10 * n * (lanes if lanes <= _NARROW_LANES else 1) if forced else 0)
 
     @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
-    @pytest.mark.parametrize("lanes", [1, 3, 17], ids=["one_lane", "narrow", "columns"])
+    @pytest.mark.parametrize("lanes", [1, 3, _NARROW_LANES + 1], ids=["one_lane", "narrow", "columns"])
     def test_rk4_block_runs_equal_chained_single_steps(self, product, lanes, forced):
         rng = np.random.default_rng(lanes)
         shape = (1,) if lanes == 1 else (lanes, 1)

@@ -51,7 +51,10 @@ one-lane ``integrate`` with ``linear_drag(0.05)``: the forced run of the
 command line, whose force is called in every A and B stage. Cell
 ``product/<lanes>/rk4`` times an unforced ``rk4_trajectory`` at 8 and 16
 lanes, which step lane by lane on floats, and at 17, which step as
-columns. A cell is the
+columns. Cells ``section/none`` and ``section/strong`` hold milliseconds per
+``analysis.poincare_section`` call on the command line benchmark's grid
+(2 x 2 seeds in [-0.5, 0.5]^2, shell 10, 128 crossings) at omega = 0 and
+10: the section layer around the runners. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -78,23 +81,26 @@ MICRO_LANES = (1, 2, 4, 8, 16, 32, 64, 1024)
 MICRO_LANE_OMEGA = (4, 16)
 MICRO_RK4 = (8, 16, 17)
 MICRO_ROUNDS = 3
-# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag|/rk4]": us per step}; each cell is the
-# fastest of 256-step runs repeated for 0.1 s.
+# Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag|/rk4]": us per step,
+# "section/<none|strong>": ms per call}; each cell is the fastest of runs repeated for 0.1 s, at least three.
 MICRO_SCRIPT = """
 import json, sys, time
 import numpy as np
 import sympext as sx
 from sympext.oracles import rk4_trajectory
 
-def us_per_step(Q, P, omega, model, stride=1, run=None):
-    run = run or (lambda: sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model, stride=stride))
+def fastest(run):
     run()  # compiles the step kernel
     runs = []
     while len(runs) < 3 or sum(runs) < 0.1:
         start = time.perf_counter()
         run()
         runs.append(time.perf_counter() - start)
-    return 1e6 * min(runs) / 256
+    return min(runs)
+
+def us_per_step(Q, P, omega, model, stride=1, run=None):
+    run = run or (lambda: sx.integrate_batch(Q, P, 0.01, omega, 4, 256, model, stride=stride))
+    return 1e6 * fastest(run) / 256
 
 cells = {}
 all_lanes, lane_omega, rk4_lanes = (json.loads(arg) for arg in sys.argv[1:4])
@@ -124,6 +130,10 @@ for name, model, q0, p0, widths, omega_widths, rk4_widths in (
         if lanes in rk4_widths:
             cells[f"{name}/{lanes}/rk4"] = us_per_step(
                 Q, P, 10.0, model, run=lambda: rk4_trajectory(model, Q, P, 0.01, 256))
+grid = [(q, p) for q in np.linspace(-0.5, 0.5, 2) for p in np.linspace(-0.5, 0.5, 2)]
+for name, omega in (("none", 0.0), ("strong", 10.0)):
+    cells[f"section/{name}"] = 1e3 * fastest(
+        lambda: sx.poincare_section(sx.product_hamiltonian(), grid, omega, 10.0, max_crossings=128))
 print(json.dumps(cells))
 """
 
@@ -183,7 +193,7 @@ def micro_table(trees: dict, lanes=MICRO_LANES, lane_omega=MICRO_LANE_OMEGA, rk4
     for cell in rounds["parent"][0]:
         parent, change = (statistics.median(r[cell] for r in rounds[side]) for side in ("parent", "change"))
         cells[cell] = {"parent_us": parent, "change_us": change, "ratio": change / parent}
-    return {"unit": "us per step", "order": 4, "omega": 10.0, "steps": 256, "rounds": MICRO_ROUNDS,
+    return {"unit": "us per step; section cells ms per call", "order": 4, "omega": 10.0, "steps": 256, "rounds": MICRO_ROUNDS,
             "cells": cells}
 
 

@@ -449,14 +449,14 @@ def poincare_section(
         first = 0
         for active, steps, lanes, shape, _ in queue:
             chunk = slice(first, first + len(steps))
-            first = chunk.stop
+            first, ok = chunk.stop, on_shell[chunk]
             kept = np.zeros(shape, dtype=int)
-            kept[steps, lanes] = on_shell[chunk]
+            kept[steps, lanes] = ok
             # Points each lane holds before each of its crossings; a crossing counts only before the lane fills.
             held = (counts[active] + np.cumsum(kept, axis=0) - kept)[steps, lanes]
             met = held < max_crossings
-            take = met & on_shell[chunk]
-            dropped += int(np.sum(met & ~on_shell[chunk]))
+            take = met & ok
+            dropped += int(np.sum(met & ~ok))
             found.append((points[chunk][take], held[take], active[lanes[take]]))
             counts[active] = np.minimum(counts[active] + kept.sum(axis=0), max_crossings)
         bound[:] = counts

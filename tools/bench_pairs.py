@@ -54,7 +54,9 @@ lanes, which step lane by lane on floats, and at 17, which step as
 columns. Cells ``section/none`` and ``section/strong`` hold milliseconds per
 ``analysis.poincare_section`` call on the command line benchmark's grid
 (2 x 2 seeds in [-0.5, 0.5]^2, shell 10, 128 crossings) at omega = 0 and
-10: the section layer around the runners. A cell is the
+10: the section layer around the runners. A call takes up to a few
+tenths of a second, so these cells repeat it for 1 s where the others
+repeat for 0.1 s. A cell is the
 fastest of the runs of one process, which a busy host disturbs less than
 their median. Each of three rounds runs one process per side, alternating
 which side goes first, and the table holds each side's median over the
@@ -82,17 +84,18 @@ MICRO_LANE_OMEGA = (4, 16)
 MICRO_RK4 = (8, 16, 17)
 MICRO_ROUNDS = 3
 # Prints {"<model>/<lanes>[/stride100|/lane_omega|/array_form|/rk4_drag|/drag|/rk4]": us per step,
-# "section/<none|strong>": ms per call}; each cell is the fastest of runs repeated for 0.1 s, at least three.
+# "section/<none|strong>": ms per call}; each cell is the fastest of runs repeated for 0.1 s (section cells 1 s),
+# at least three.
 MICRO_SCRIPT = """
 import json, sys, time
 import numpy as np
 import sympext as sx
 from sympext.oracles import rk4_trajectory
 
-def fastest(run):
+def fastest(run, budget=0.1):
     run()  # compiles the step kernel
     runs = []
-    while len(runs) < 3 or sum(runs) < 0.1:
+    while len(runs) < 3 or sum(runs) < budget:
         start = time.perf_counter()
         run()
         runs.append(time.perf_counter() - start)
@@ -133,7 +136,7 @@ for name, model, q0, p0, widths, omega_widths, rk4_widths in (
 grid = [(q, p) for q in np.linspace(-0.5, 0.5, 2) for p in np.linspace(-0.5, 0.5, 2)]
 for name, omega in (("none", 0.0), ("strong", 10.0)):
     cells[f"section/{name}"] = 1e3 * fastest(
-        lambda: sx.poincare_section(sx.product_hamiltonian(), grid, omega, 10.0, max_crossings=128))
+        lambda: sx.poincare_section(sx.product_hamiltonian(), grid, omega, 10.0, max_crossings=128), budget=1.0)
 print(json.dumps(cells))
 """
 

@@ -63,10 +63,8 @@ from .models import (
     schwarzschild_initial,
 )
 from .oracles import (
-    PhaseSeries,
     complete_elliptic_k,
     exact_series,
-    exact_solution,
     half_period,
     jacobi_elliptic,
     reference_flow,

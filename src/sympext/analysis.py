@@ -55,7 +55,7 @@ def _unwrapped_angle(q, p):
     # Aliasing by a full turn is undetectable; anything landing near a half
     # turn per sample is treated as undersampled and refused.
     if jumps.size and np.max(jumps) >= 0.9 * math.pi:
-        raise ValueError(
+        raise PhaseUndefinedError(
             "sampling too coarse to unwrap the phase: a sample-to-sample angle "
             f"change of {np.max(jumps):.3f} rad approaches pi"
         )
@@ -67,7 +67,8 @@ def polar_errors(times, q_num, p_num, q_ref, p_ref) -> PolarErrorSeries:
 
     Both series are converted to (r, theta), the angles unwrapped
     continuously along each series before differencing, so the phase error
-    may exceed 2 pi. Series must share the time grid.
+    may exceed 2 pi. Series must share the time grid. A radius near zero,
+    or samples too far apart to unwrap, raises PhaseUndefinedError.
     """
     times = np.asarray(times, dtype=float)
     q_num, p_num, q_ref, p_ref = (np.asarray(a, dtype=float) for a in (q_num, p_num, q_ref, p_ref))
@@ -467,7 +468,7 @@ def poincare_section(
         n = min(_SECTION_CHUNK, max_steps - done)
         active = np.flatnonzero(counts < max_crossings)
         try:
-            run = _drive(runner, np.moveaxis(states[active], 1, 0), delta, n, 1, lambda times, out: out, _FINITE)
+            run = _drive(runner, np.moveaxis(states[active], 1, 0), delta, n, 1, _FINITE).states
         except SympextError as exc:
             raise type(exc)(f"section steps {done}-{done + n}: {exc}") from None
         done += n

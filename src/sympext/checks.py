@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .integrator import IntegratorConfig, apply_scheme, build_scheme, flow_a, flow_b, flow_c, integrate, integrate_batch
 from .models import nls_hamiltonian, nls_masses, product_hamiltonian, schwarzschild_hamiltonian, schwarzschild_initial
-from .state import ExtendedState, canonical_j
+from .state import ExtendedState, canonical_j, state_from_array
 
 OMEGA_SCAN_VALUES = (20.0, 40.0, 80.0, 160.0)
 OMEGA_SCAN_AMPLITUDE = (6.2e-8, 1.2e-7, 2.5e-7, 5e-7)
@@ -80,7 +80,7 @@ def _product_omega_scan():
     amp = np.empty(B)
     phase = np.empty(B)
     binding = np.empty(B)
-    parts = traj.parts()
+    parts = state_from_array(traj.states)
     for i in range(B):
         err = polar_errors(traj.times, parts.q[:, i, 0], parts.p[:, i, 0], qe, pe)
         amp[i] = err.max_amplitude_error
@@ -204,7 +204,7 @@ def _longtime_product_runs():
     traj = integrate(np.array([-3.0]), np.array([0.0]), cfg, model)
     drift = energy_drift(traj, model, omega)
     rk = oracles.rk4_trajectory(model, np.array([-3.0]), np.array([0.0]), delta, cfg.n_steps)
-    h_rk = model.value(rk.Q, rk.P)
+    h_rk = model.value(*rk.projected())
     return drift, h_rk - h_rk[0]
 
 
@@ -253,15 +253,15 @@ def first_return_time(Q0: float = -3.0) -> float:
     delta = 1e-4
     Q, P = np.array([float(Q0)]), np.array([0.0])
     for done in range(0, 10_000_000, _RETURN_CHUNK):
-        run = oracles.rk4_trajectory(model, Q, P, delta, _RETURN_CHUNK)
-        q, p = run.Q[:, 0], run.P[:, 0]
+        Q_run, P_run = oracles.rk4_trajectory(model, Q, P, delta, _RETURN_CHUNK).projected()
+        q, p = Q_run[:, 0], P_run[:, 0]
         ends = np.nonzero((q[1:] > 0) & (p[:-1] > 0) & (p[1:] <= 0))[0]
         if ends.size:
             k = int(ends[0])
-            pdot = -model.pair(run.Q[k : k + 2], run.P[k : k + 2])[0][:, 0]
+            pdot = -model.pair(Q_run[k : k + 2], P_run[k : k + 2])[0][:, 0]
             theta = float(analysis._hermite_root(p[k], p[k + 1], pdot[0], pdot[1], delta, 1e-15))
             return (done + k) * delta + theta * delta
-        Q, P = run.Q[-1], run.P[-1]
+        Q, P = Q_run[-1], P_run[-1]
     raise RuntimeError("no return detected")
 
 
@@ -360,7 +360,7 @@ def check_nls_ergodicity() -> CheckResult:
     masses = nls_masses(Q, P)
     total = masses.total
     drift = float(np.max(np.abs(total - total[0])) / total[0])
-    rk_total = nls_masses(rk.Q, rk.P).total
+    rk_total = nls_masses(*rk.projected()).total
     rk_drift = float(np.max(np.abs(rk_total - rk_total[0])) / rk_total[0])
     averages = analysis.ergodic_averages(traj.times, masses.masses)
     gap_early = abs(averages.gap_at(100.0))
@@ -381,10 +381,10 @@ def check_nls_cascade() -> CheckResult:
     cfg = IntegratorConfig(delta, omega, 4, round(T / delta))
     traj = integrate(Q0, P0, cfg, model)
     Q, P = traj.projected()
-    ref = oracles.rk4_trajectory(model, Q0, P0, 1e-4, round(T / 1e-4), stride=10)
-    scale = float(np.max(np.hypot(np.linalg.norm(ref.Q, axis=-1), np.linalg.norm(ref.P, axis=-1))))
+    Q_ref, P_ref = oracles.rk4_trajectory(model, Q0, P0, 1e-4, round(T / 1e-4), stride=10).projected()
+    scale = float(np.max(np.hypot(np.linalg.norm(Q_ref, axis=-1), np.linalg.norm(P_ref, axis=-1))))
     err = float(
-        np.max(np.hypot(np.linalg.norm(Q - ref.Q, axis=-1), np.linalg.norm(P - ref.P, axis=-1)))
+        np.max(np.hypot(np.linalg.norm(Q - Q_ref, axis=-1), np.linalg.norm(P - P_ref, axis=-1)))
     ) / scale
     masses = nls_masses(Q, P).masses
     growth = float(np.max(np.max(masses[:, 1:], axis=0) / masses[0, 1:]))
@@ -448,7 +448,8 @@ def check_schwarzschild() -> CheckResult:
     idx = np.searchsorted(traj2.times, ref.times)
     scalings = np.concatenate([analysis.schwarzschild_scalings(), [1.0]])
     numeric = np.column_stack([Q2[idx], model.value(Q2[idx], P2[idx])])
-    bench = np.column_stack([ref.Q, model.value(ref.Q, ref.P)])
+    Q_ref, P_ref = ref.projected()
+    bench = np.column_stack([Q_ref, model.value(Q_ref, P_ref)])
     curves = analysis.scaled_running_max_errors(numeric, bench, scalings)
     finite = bool(np.all(np.isfinite(curves)))
     ok = cyc_ok and flat and finite
@@ -474,10 +475,6 @@ CRITERIA = {
 }
 
 
-def run_criterion(number: int) -> CheckResult:
-    return CRITERIA[number]()
-
-
 def run_all(numbers=None):
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
-    return [run_criterion(n) for n in selected]
+    return [CRITERIA[n]() for n in selected]

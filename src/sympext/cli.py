@@ -29,7 +29,7 @@ from .config import ExperimentConfig, _parse_values, apply_overrides, config_pre
 from .errors import ConfigError, DomainError, SympextError
 from .integrator import linear_drag, integrate
 from .models import default_initial_condition, extended_energy, get_model, nls_masses
-from .state import Trajectory
+from .state import Trajectory, state_from_array
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,9 +118,10 @@ _CSV_BLOCK = 4096
 
 
 def _trajectory_rows(traj: Trajectory, h, hbar):
+    parts = state_from_array(traj.states)
     for first in range(0, len(traj.times), _CSV_BLOCK):
         rows = slice(first, first + _CSV_BLOCK)
-        yield from np.column_stack([traj.times[rows], *(c[rows] for c in traj.parts()), h[rows], hbar[rows]]).tolist()
+        yield from np.column_stack([traj.times[rows], *(c[rows] for c in parts), h[rows], hbar[rows]]).tolist()
 
 
 def _trajectory_header(d: int):
@@ -286,14 +287,14 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError(f"compare against the reference needs stride {cfg.stride} to divide n_steps {n_steps}")
     traj = _run_trajectory(cfg)
     Q, P = traj.projected()
-    rk = oracles.rk4_trajectory(model, Q0, P0, cfg.delta, n_steps, stride=cfg.stride, force=force)
+    Q_rk, P_rk = oracles.rk4_trajectory(model, Q0, P0, cfg.delta, n_steps, stride=cfg.stride, force=force).projected()
 
     base = cfg.out or "compare"
     verdict = [f"system = {cfg.system}", f"delta = {_fmt(cfg.delta)}", f"omega = {_fmt(cfg.omega)}"]
     if exact:
         qe, pe = oracles.exact_series(float(Q0[0]), traj.times)
         err_new = polar_errors(traj.times, Q[:, 0], P[:, 0], qe, pe)
-        err_rk = polar_errors(traj.times, rk.Q[:, 0], rk.P[:, 0], qe, pe)
+        err_rk = polar_errors(traj.times, Q_rk[:, 0], P_rk[:, 0], qe, pe)
         rows = zip(traj.times, err_new.amplitude_error, err_new.phase_error,
                    err_rk.amplitude_error, err_rk.phase_error)
         _write_csv(out_dir / f"{base}.csv",
@@ -309,9 +310,10 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
         scal = np.concatenate([schwarzschild_scalings(), [1.0]]) if cfg.system == "schwarzschild" \
             else np.ones(model.dim + 1)
         num = np.column_stack([Q, model.value(Q, P)])
-        refm = np.column_stack([ref.Q, model.value(ref.Q, ref.P)])
+        Q_ref, P_ref = ref.projected()
+        refm = np.column_stack([Q_ref, model.value(Q_ref, P_ref)])
         curves_new = scaled_running_max_errors(num, refm, scal)
-        num_rk = np.column_stack([rk.Q, model.value(rk.Q, rk.P)])
+        num_rk = np.column_stack([Q_rk, model.value(Q_rk, P_rk)])
         curves_rk = scaled_running_max_errors(num_rk, refm, scal)
         header = ["t"]
         header += [f"err_c{i}" for i in range(curves_new.shape[1])]
@@ -326,7 +328,7 @@ def cmd_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
         ]
 
     drift = energy_drift(traj, model, cfg.omega)
-    h_rk = model.value(rk.Q, rk.P)
+    h_rk = model.value(Q_rk, P_rk)
     verdict += [
         f"max_extended_energy_drift = {_fmt(np.max(np.abs(drift.extended)))}",
         f"max_original_energy_drift = {_fmt(np.max(np.abs(drift.original)))}",

@@ -5,11 +5,11 @@ class SympextError(Exception):
     """Base class for all package errors.
 
     An error raised while a trajectory is advanced carries the samples
-    stored before it as ``partial``, in the run's own result type: a
-    Trajectory from ``integrate``/``integrate_batch``, a PhaseSeries from
-    ``rk4_trajectory``/``reference_flow``, and from ``apply_scheme`` and
-    the exact flows a Trajectory of the start state alone (empty if the
-    start itself is not finite). A sample counts as stored only
+    stored before it as ``partial``, a Trajectory like the run's result:
+    (q, p, x, y) states from ``integrate``/``integrate_batch``, (Q, P)
+    states from ``rk4_trajectory``/``reference_flow``, and from
+    ``apply_scheme`` and the exact flows the start state alone (empty if
+    the start itself is not finite). A sample counts as stored only
     once it passed the escape check, so an escape leaves the offending
     sample out of ``partial``. A run on Python floats checks its samples
     once per block of steps, but reports as if it checked each one: the
@@ -43,7 +43,7 @@ class ReferenceConvergenceError(SympextError):
 
 
 class PhaseUndefinedError(SympextError):
-    """Polar angle requested too close to the origin."""
+    """Polar angle undefined: a sample too close to the origin, or samples too far apart to unwrap."""
 
 
 class AdmissibilityError(SympextError):

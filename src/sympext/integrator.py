@@ -330,7 +330,7 @@ def apply_scheme(
     non-finite states, so it fails like ``integrate``; ``model`` may be
     None for a scheme of C stages only.
     """
-    traj = _drive(_kernel(scheme, delta, omega, s.q.shape, model, force), s, delta, 1, 1, Trajectory, _FINITE, t0)
+    traj = _drive(_kernel(scheme, delta, omega, s.q.shape, model, force), s, delta, 1, 1, _FINITE, t0)
     return state_from_array(traj.states[-1])
 
 
@@ -373,16 +373,16 @@ def _discard(state):
     """A put that keeps nothing: a replayed step hands its state back as the runner's result."""
 
 
-def _drive(runner, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
+def _drive(runner, blocks, delta, n_steps, stride, escape_bound, t0=0.0) -> Trajectory:
     """The one trajectory loop behind every sampled run.
 
     Advances the lanes of the (..., d) ``blocks`` by ``n_steps`` steps of
     the ``runner`` (``_kernel``, ``_rk4_factory``), stores every
     ``stride``-th state (the final state always included) in its
     (..., n_blocks, d) output row and checks the rows against the escape
-    bound. A sample counts as stored once it passed the check. Returns
-    wrap(times, states); any SympextError raised on the way leaves with
-    wrap of the stored samples attached as ``partial``.
+    bound. A sample counts as stored once it passed the check. Returns the
+    Trajectory of the rows; any SympextError raised on the way leaves with
+    the Trajectory of the stored samples attached as ``partial``.
 
     The start is checked at once; then the runner takes blocks, each ending
     at the first sample ``_CHECK_BLOCK`` or more steps after the previous
@@ -476,9 +476,9 @@ def _drive(runner, blocks, delta, n_steps, stride, wrap, escape_bound, t0=0.0):
                 f"exceeds bound {escape_bound:.3e} at step {sample_at[n_checked]}"
             )
     except SympextError as exc:
-        exc.partial = wrap(times[:n_checked].copy(), out[:n_checked].copy())
+        exc.partial = Trajectory(times[:n_checked].copy(), out[:n_checked].copy())
         raise
-    return wrap(times, out)
+    return Trajectory(times, out)
 
 
 def integrate(
@@ -502,7 +502,7 @@ def integrate(
     """
     s0 = embed(Q0, P0)
     run = _kernel(build_scheme(cfg.order), cfg.delta, cfg.omega, s0.q.shape, model, force)
-    return _drive(run, s0, cfg.delta, cfg.n_steps, stride, Trajectory, escape_bound, t0)
+    return _drive(run, s0, cfg.delta, cfg.n_steps, stride, escape_bound, t0)
 
 
 def integrate_batch(
@@ -528,4 +528,4 @@ def integrate_batch(
     for extreme in (om.min(), om.max()) if om.size else ():  # IntegratorConfig's checks, for every lane's binding
         IntegratorConfig(delta, float(extreme))
     run = _kernel(build_scheme(order), delta, omega, s0.q.shape, model)
-    return _drive(run, s0, delta, n_steps, stride, Trajectory, escape_bound)
+    return _drive(run, s0, delta, n_steps, stride, escape_bound)

@@ -7,13 +7,13 @@ classical 4th-order integrator whose step is certified by step doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EvaluationError, ReferenceConvergenceError
 from .integrator import _FINITE, _components, _drive, _rk4_factory
 from .models import HamiltonianModel
+from .state import Trajectory
 
 _AGM_TOL = 1e-16
 _AGM_MAX_ITER = 32
@@ -98,8 +98,8 @@ def half_period(Q0: float) -> float:
     return 2.0 * complete_elliptic_k(m) / math.sqrt(1.0 + Q0 * Q0)
 
 
-def exact_solution(Q0: float, t):
-    """Exact (Q, P) of the product oscillator started at (Q0 < 0, P = 0).
+def exact_series(Q0: float, times):
+    """Exact (Q, P) of the product oscillator started at (Q0 < 0, P = 0), as arrays of the shape of ``times``.
 
     Time is reduced modulo the full period; the first half period follows
     the elliptic-cosine formula with parameter m = Q0^2 / (1 + Q0^2), and
@@ -112,9 +112,7 @@ def exact_solution(Q0: float, t):
     m = Q0 * Q0 / (1.0 + Q0 * Q0)
     half = half_period(Q0)
     rate = math.sqrt(1.0 + Q0 * Q0)
-    scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    tm = np.mod(t, 2.0 * half)
+    tm = np.mod(np.asarray(times, dtype=float), 2.0 * half)
     second = tm >= half
     tt = np.where(second, tm - half, tm)
     sn, cn, dn = jacobi_elliptic(tt * rate, m)
@@ -122,36 +120,7 @@ def exact_solution(Q0: float, t):
     Qdot = -Q0 * rate * sn * dn
     P = Qdot / (1.0 + Q * Q)
     sign = np.where(second, -1.0, 1.0)
-    Q, P = sign * Q, sign * P
-    if scalar:
-        return float(Q), float(P)
-    return Q, P
-
-
-def exact_series(Q0: float, times):
-    """exact_solution evaluated on a whole time grid, as (n,) arrays."""
-    return exact_solution(Q0, np.asarray(times, dtype=float))
-
-
-@dataclass(frozen=True)
-class PhaseSeries:
-    """Time-stamped (Q, P) series of the original system."""
-
-    times: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def dim(self) -> int:
-        return self.Q.shape[-1]
-
-
-def _phase_series(times, states) -> PhaseSeries:
-    return PhaseSeries(times, states[:, ..., 0, :], states[:, ..., 1, :])
+    return sign * Q, sign * P
 
 
 def rk4_trajectory(
@@ -163,18 +132,19 @@ def rk4_trajectory(
     *,
     stride: int = 1,
     force=None,
-) -> PhaseSeries:
+) -> Trajectory:
     """Fixed-step RK4 run sampled every ``stride`` steps (final step included).
 
-    ``force`` F(Q0.., P0.., t) adds its d components to dP/dt, as in
+    The Trajectory stores (Q, P) states of shape (n, ..., 2, d). ``force``
+    F(Q0.., P0.., t) adds its d components to dP/dt, as in
     ``apply_scheme``. A non-finite sample aborts the run with
-    TrajectoryEscapedError, carrying the samples before it as a PhaseSeries ``partial``.
+    TrajectoryEscapedError, carrying the samples before it as ``partial``.
     """
     Q = np.atleast_1d(np.asarray(Q0, dtype=float))
     P = np.atleast_1d(np.asarray(P0, dtype=float))
     grad = _components(model, Q.shape[-1])
     run = _rk4_factory(Q.shape[-1], force is not None, getattr(grad, "_source", None))(grad, force)
-    return _drive(run, (Q, P), delta, n_steps, stride, _phase_series, _FINITE)
+    return _drive(run, (Q, P), delta, n_steps, stride, _FINITE)
 
 
 def reference_flow(
@@ -187,8 +157,8 @@ def reference_flow(
     rtol: float = 1e-11,
     max_refinements: int = 22,
     force=None,
-) -> PhaseSeries:
-    """High-accuracy benchmark trajectory on a uniform sample grid.
+) -> Trajectory:
+    """High-accuracy benchmark trajectory of (Q, P) states on a uniform sample grid.
 
     Fixed-step RK4 with the substep count, 4 per sample at first, doubled
     until halving it moves the endpoint by at most ``rtol`` relative; the
@@ -206,30 +176,28 @@ def reference_flow(
     P0 = np.atleast_1d(np.asarray(P0, dtype=float))
     if T == 0:
         start = rk4_trajectory(model, Q0, P0, 0.0, 0)
-        return PhaseSeries(start.times, start.Q, start.P,
-                           meta={"substeps_per_sample": 0, "endpoint_shift": 0.0, "rtol": rtol})
+        return Trajectory(start.times, start.states, {"substeps_per_sample": 0, "endpoint_shift": 0.0, "rtol": rtol})
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1 for a positive horizon, got {n_samples}")
     grid = np.linspace(0.0, T, n_samples + 1)
 
-    def run(substeps: int) -> PhaseSeries:
+    def run(substeps: int) -> Trajectory:
         n_steps = n_samples * substeps
         return rk4_trajectory(model, Q0, P0, T / n_steps, n_steps, stride=substeps, force=force)
 
     substeps = 4
-    coarse = run(substeps)
+    Qc, Pc = run(substeps).projected()
     for _ in range(max_refinements):
         fine = run(2 * substeps)
-        scale = 1.0 + math.hypot(float(np.linalg.norm(fine.Q[-1])), float(np.linalg.norm(fine.P[-1])))
+        Qf, Pf = fine.projected()
+        scale = 1.0 + math.hypot(float(np.linalg.norm(Qf[-1])), float(np.linalg.norm(Pf[-1])))
         shift = math.hypot(
-            float(np.linalg.norm(coarse.Q[-1] - fine.Q[-1])), float(np.linalg.norm(coarse.P[-1] - fine.P[-1]))
+            float(np.linalg.norm(Qc[-1] - Qf[-1])), float(np.linalg.norm(Pc[-1] - Pf[-1]))
         ) / scale
         if shift <= rtol:
-            return PhaseSeries(
-                grid, fine.Q, fine.P,
-                meta={"substeps_per_sample": 2 * substeps, "endpoint_shift": shift, "rtol": rtol},
-            )
-        coarse = fine
+            certificate = {"substeps_per_sample": 2 * substeps, "endpoint_shift": shift, "rtol": rtol}
+            return Trajectory(grid, fine.states, certificate)
+        Qc, Pc = Qf, Pf
         substeps *= 2
     raise ReferenceConvergenceError(
         f"reference did not converge: endpoint still moving by {shift:.3e} (> rtol {rtol:.1e}) "

@@ -1,7 +1,7 @@
 """State containers for the doubled phase space."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -85,14 +85,18 @@ def canonical_j(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped sequence of extended states.
+    """Time-stamped sequence of stored states, the result of every run.
 
-    ``states`` has shape (n, 4, d) for a single trajectory or (n, B, 4, d)
-    for a batch of B trajectories advanced together.
+    ``states`` has shape (n, ..., k, d): n samples, any batch axes, then k
+    parts of dimension d. A doubled run stores k = 4 parts (q, p, x, y);
+    RK4 and the reference store the k = 2 parts (Q, P) of the original
+    system. ``meta`` holds what the run certifies beside its samples, such
+    as the reference's step-doubling certificate.
     """
 
     times: np.ndarray
     states: np.ndarray
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -105,10 +109,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[-1]
 
-    def parts(self) -> ExtendedState:
-        """Component series (q, p, x, y), each of shape (n, ..., d)."""
-        return state_from_array(self.states)
-
     def projected(self):
-        """Reported (Q, P) series: the first copy (q, p), each of shape (n, ..., d)."""
+        """Reported (Q, P) series: the first two parts, each of shape (n, ..., d)."""
         return self.states[..., 0, :], self.states[..., 1, :]

@@ -33,8 +33,8 @@ class TestPolarErrors:
     def test_shifted_by_full_period_zero_error(self):
         T2 = 2.0 * sx.half_period(-3.0)
         t = np.linspace(0, 20, 3000)
-        Q1, P1 = sx.exact_solution(-3.0, t)
-        Q2, P2 = sx.exact_solution(-3.0, t + T2)
+        Q1, P1 = sx.exact_series(-3.0, t)
+        Q2, P2 = sx.exact_series(-3.0, t + T2)
         err = sx.polar_errors(t, Q1, P1, Q2, P2)
         assert err.max_amplitude_error <= 1e-10
         assert err.max_phase_error <= 1e-10
@@ -57,7 +57,7 @@ class TestPolarErrors:
     def test_undersampled_guard(self):
         t = np.linspace(0, 10, 11)           # one sample per ~3.2 rad turn
         q, p = np.cos(3.2 * t), np.sin(3.2 * t)
-        with pytest.raises(ValueError, match="unwrap"):
+        with pytest.raises(sx.PhaseUndefinedError, match="unwrap"):
             sx.polar_errors(t, q, p, q.copy(), p.copy())
 
     def test_grid_mismatch_rejected(self):
@@ -94,7 +94,7 @@ class TestEnergyDrift:
     def test_oracle_trajectory_has_negligible_drift(self):
         # Build a trajectory container holding the exact solution doubled.
         t = np.linspace(0, 10, 500)
-        Q, P = sx.exact_solution(-3.0, t)
+        Q, P = sx.exact_series(-3.0, t)
         states = np.stack([Q[:, None], P[:, None], Q[:, None], P[:, None]], axis=1)
         traj = sx.Trajectory(t, states)
         drift = sx.energy_drift(traj, sx.product_hamiltonian(), 20.0)
@@ -333,6 +333,37 @@ class TestPoincare:
         assert sx.classify_section(CHAOS_THRESHOLD + 0.1) == "chaotic"
         assert sx.classify_section(REGULAR_THRESHOLD - 0.1) == "regular"
         assert sx.classify_section(0.5 * (CHAOS_THRESHOLD + REGULAR_THRESHOLD)) == "mixed"
+
+
+def _synthetic_section(lanes):
+    """A PoincareSection whose trajectory i holds the (q, p, y) rows of lanes[i]."""
+    rows = np.concatenate(lanes)
+    ids = np.concatenate([np.full(len(lane), i) for i, lane in enumerate(lanes)])
+    crossings = np.concatenate([np.arange(len(lane)) for lane in lanes])
+    return sx.PoincareSection(10.0, 0.0, rows[:, :2], rows[:, 2], crossings, ids, len(lanes), (), 0)
+
+
+def _closed_curve(radius, n=400):
+    """n points of a golden-angle rotation on an ellipse, as a regular orbit leaves them on the section."""
+    turn = 2.0 * math.pi * (math.sqrt(5.0) - 1.0) / 2.0 * np.arange(n)
+    return np.column_stack([radius * np.cos(turn), 0.5 * radius * np.sin(turn), np.zeros(n)])
+
+
+class TestChaosStatistic:
+    def test_closed_curves_are_regular(self):
+        stat = sx.chaos_statistic(_synthetic_section([_closed_curve(r) for r in (0.5, 1.0, 1.5)]))
+        assert sx.classify_section(stat) == "regular"
+
+    def test_uniform_square_fill_is_chaotic(self):
+        rng = np.random.default_rng(3)
+        fills = [np.column_stack([rng.uniform(-1.0, 1.0, (400, 2)), np.zeros(400)]) for _ in range(3)]
+        assert sx.classify_section(sx.chaos_statistic(_synthetic_section(fills))) == "chaotic"
+
+    @pytest.mark.parametrize("lane", [_closed_curve(1.0, 63), np.tile(_closed_curve(1.0, 32), (4, 1))],
+                             ids=["63_points", "32_distinct_of_128"])
+    def test_too_few_distinct_points_rejected(self, lane):
+        with pytest.raises(ValueError, match="enough points"):
+            sx.chaos_statistic(_synthetic_section([lane]))
 
 
 def _shell_brackets(omega, shell, q, p):

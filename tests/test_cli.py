@@ -105,7 +105,8 @@ class TestIntegrateCommand:
         model = sx.get_model("nls", 2)
         traj = sx.integrate(*sx.default_initial_condition("nls", 2), sx.IntegratorConfig(0.01, 50.0, 2, 5000), model)
         energies = [model.value(*traj.projected()), sx.extended_energy(model, 50.0, traj.states)]
-        np.testing.assert_array_equal(table, np.column_stack([traj.times, *traj.parts(), *energies]))
+        parts = sx.state_from_array(traj.states)
+        np.testing.assert_array_equal(table, np.column_stack([traj.times, *parts, *energies]))
 
     @pytest.mark.parametrize("command, base, cfg_text", [
         ("integrate", "trajectory", "system = product1d\nt_final = 1\ndelta = 0.05\nomega = 7\n"),
@@ -325,6 +326,18 @@ class TestPoincareCommand:
         meta = (tmp_path / "section.meta").read_text()
         assert "chaos statistic" in meta
 
+    def test_statistic_and_classification_recorded(self, tmp_path):
+        # A strongly bound product section on eight seeds: every trajectory carries enough crossings.
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nomega = 10\nshell = 10\n"
+            "grid_q = -0.5:0.5:2\ngrid_p = -0.5:0.5:2\nmax_crossings = 128\n",
+        )
+        assert main(["poincare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        meta = (tmp_path / "section.meta").read_text()
+        assert re.search(r"^# chaos statistic: \d+\.\d{6}$", meta, re.MULTILINE), meta
+        assert "# classification: regular\n" in meta
+
     def test_skipped_rows_recorded(self, tmp_path):
         # The seeds at q = 2 and q = 5 have no momentum root on the shell; those at q = -1 do.
         cfg = write_config(
@@ -425,6 +438,18 @@ class TestCompareCommand:
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert len(lines) == 2  # the header and the start, where every error is zero
         assert "max_amplitude_error = 0" in (tmp_path / "compare_verdict.txt").read_text()
+
+    @pytest.mark.parametrize("stride", [150, 160, 170])
+    def test_coarse_stride_is_numeric_abort(self, tmp_path, capsys, stride):
+        # Samples 1.5 to 1.7 time units apart turn the phase by nearly pi, so it cannot be unwrapped.
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nq0 = -3\np0 = 0\ndelta = 0.01\nomega = 20\norder = 4\n"
+            f"t_final = 50\nstride = {stride}\n",
+        )
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "numeric abort: sampling too coarse to unwrap the phase" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_self_zero_difference(self, tmp_path):
         # the proposed-versus-exact error recomputed twice agrees with itself
@@ -588,6 +613,17 @@ class TestScanFailures:
         assert all(row.count(",") == 3 for row in rows)
         assert sum(row.endswith("ok") for row in rows) == 3
         assert "slope_amplitude" in (tmp_path / "table.meta").read_text()
+
+    def test_coarse_stride_recorded_as_failed_point(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "system = product1d\nq0 = -3\np0 = 0\ndelta = 0.01\nomegas = 20\norder = 4\n"
+            "t_final = 50\nstride = 160\n",
+        )
+        assert main(["table", "--config", cfg, "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "table.csv").read_text().splitlines()[1]
+        assert row == ("20,nan,nan,failed: sampling too coarse to unwrap the phase: "
+                       "a sample-to-sample angle change of 3.111 rad approaches pi")
 
 
 class TestCompareDissipative:

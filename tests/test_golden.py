@@ -89,7 +89,7 @@ def _run(case: str, name: str) -> str:
         force = _clocked_force if case == "rk4_forced" else None
         Qr, Pr = (Qb, Pb) if case == "rk4_batch" else (Q0, P0)
         series = sx.rk4_trajectory(model, Qr, Pr, delta, N_STEPS, stride=STRIDE, force=force)
-        return _digest(series.times, series.Q, series.P)
+        return _digest(series.times, *series.projected())
     if case == "vector_field":
         rng = np.random.default_rng(len(name) + 1)
         parts = (base + 0.01 * rng.uniform(-1.0, 1.0, (4,) + base.shape) for base in (Q0, P0, Q0, P0))

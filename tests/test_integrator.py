@@ -24,11 +24,6 @@ def random_state(rng, d=1, span=1.5):
     return sx.ExtendedState(*(rng.uniform(-span, span, size=d) for _ in range(4)))
 
 
-def samples(series):
-    """The stored states of a Trajectory, or the (Q, P) of an RK4 PhaseSeries packed alike as (..., 2, d)."""
-    return series.states if isinstance(series, sx.Trajectory) else np.stack((series.Q, series.P), axis=-2)
-
-
 def array_form(model):
     """The model with its gradient in array form only: every step calls it through the pack/unpack adapter."""
     return sx.HamiltonianModel(model.name, model.dim, model.value, grad_pair=model.pair)
@@ -199,7 +194,8 @@ class TestStep:
             ref = sx.reference_flow(
                 wrapper, np.array([-3.0, -3.0]), np.array([0.0, 0.0]), delta, n_samples=1
             )
-            ref_state = np.array([ref.Q[-1, 0], ref.P[-1, 0], ref.Q[-1, 1], ref.P[-1, 1]])
+            Q, P = ref.projected()
+            ref_state = np.array([Q[-1, 0], P[-1, 0], Q[-1, 1], P[-1, 1]])
             gaps.append(float(np.max(np.abs(np.concatenate(out) - ref_state))))
             assert gaps[-1] < 200.0 * delta**3
         assert sx.fit_loglog_slope(deltas, gaps) == pytest.approx(3.0, abs=0.3)
@@ -260,7 +256,7 @@ class TestOneReportPerFault:
             assert "max |state| = inf" in str(narrow)
             assert kept <= len(narrow.partial) == len(wide.partial)
             np.testing.assert_array_equal(narrow.partial.times, wide.partial.times)
-            np.testing.assert_array_equal(samples(narrow.partial), samples(wide.partial)[:, :2], err_msg=form)
+            np.testing.assert_array_equal(narrow.partial.states, wide.partial.states[:, :2], err_msg=form)
 
     @pytest.mark.parametrize("entry", ["integrate_batch", "integrate_batch_lane_omega", "rk4_trajectory", "apply_scheme"])
     def test_empty_batch_rejected(self, product, entry):
@@ -442,7 +438,8 @@ class TestDissipative:
             )
             Q, P = traj.projected()
             idx = np.searchsorted(traj.times, ref.times)
-            errs.append(float(np.max(np.hypot(Q[idx, 0] - ref.Q[:, 0], P[idx, 0] - ref.P[:, 0]))))
+            Q_ref, P_ref = ref.projected()
+            errs.append(float(np.max(np.hypot(Q[idx, 0] - Q_ref[:, 0], P[idx, 0] - P_ref[:, 0]))))
         slope = sx.fit_loglog_slope(deltas, errs)
         assert slope >= 2.0 - 0.3
 
@@ -575,7 +572,7 @@ class TestKernelProperties:
             return lambda Q, P, om: sx.integrate_batch(Q, P, delta, bindings(om), order, 25, m, stride=stride).states
 
         def rk4(m, force=None):
-            return lambda Q, P, om: samples(sx.rk4_trajectory(m, Q, P, delta, 25, stride=stride, force=force))
+            return lambda Q, P, om: sx.rk4_trajectory(m, Q, P, delta, 25, stride=stride, force=force).states
 
         def one_step(m, bindings, force=None):
             return lambda Q, P, om: apply_scheme(sx.embed(Q, P), scheme, delta, bindings(om), m, force).to_array()[None]
@@ -665,14 +662,14 @@ class TestBlockSeams:
         chain = [(Q0, P0)]
         for _ in range(n):  # every one-step run starts at t = 0
             step = sx.rk4_trajectory(product, *chain[-1], delta, 1, force=force)
-            chain.append((step.Q[-1], step.P[-1]))
+            chain.append(tuple(c[-1] for c in step.projected()))
         chain = np.stack([np.stack(qp, axis=-2) for qp in chain])
         for stride in (1, 7):
             seen = []
             force = self.recording_drag(seen) if forced else None
             run = sx.rk4_trajectory(product, Q0, P0, delta, n, stride=stride, force=force)
             at = list(range(0, n + 1, stride)) + ([n] if n % stride else [])
-            np.testing.assert_array_equal(samples(run), chain[at])
+            np.testing.assert_array_equal(run.states, chain[at])
             # Step k sees t = k * delta, t + delta / 2 twice and t + delta; a narrow run once per lane.
             calls = (lanes if lanes <= _NARROW_LANES else 1) if forced else 0
             times = [t + dt for t in (k * delta for k in range(n)) for dt in (0.0, 0.5 * delta, 0.5 * delta, delta)]
@@ -731,7 +728,7 @@ class TestBindingAndConservation:
             np.full((4, 1), -3.0), np.zeros((4, 1)), 1e-3, omegas, 4,
             round(20.0 / 1e-3), product, stride=5,
         )
-        q, _, x, _ = traj.parts()
+        q, _, x, _ = sx.state_from_array(traj.states)
         worst = np.max(np.abs(q[:, :, 0] - x[:, :, 0]), axis=0)
         assert np.all(worst <= 1.0 / omegas)
 
@@ -746,7 +743,8 @@ class TestBindingAndConservation:
         assert np.max(np.hypot(Q[:, 0] - qe, P[:, 0] - pe)) <= 1e-10
         ref = sx.reference_flow(product, np.array([-3.0]), np.array([0.0]), T, n_samples=10)
         qe2, pe2 = sx.exact_series(-3.0, ref.times)
-        assert np.max(np.hypot(ref.Q[:, 0] - qe2, ref.P[:, 0] - pe2)) <= 1e-10
+        Q_ref, P_ref = ref.projected()
+        assert np.max(np.hypot(Q_ref[:, 0] - qe2, P_ref[:, 0] - pe2)) <= 1e-10
 
     def test_nls_mass_drift_bounded(self):
         # Desk-scale non-secularity of the total mass; the drift-ratio
@@ -816,8 +814,8 @@ class TestSplicedGradient:
 
         def runs(m, order):
             Q, P = (Qb[0], Pb[0]) if lanes == 1 else (Qb, Pb)
-            rk4 = [samples(sx.rk4_trajectory(m, Q, P, delta, 12, stride=5)),
-                   samples(sx.rk4_trajectory(m, Q, P, delta, 3, force=sx.linear_drag(0.05)))]
+            rk4 = [sx.rk4_trajectory(m, Q, P, delta, 12, stride=5).states,
+                   sx.rk4_trajectory(m, Q, P, delta, 3, force=sx.linear_drag(0.05)).states]
             if lanes == 1:
                 cfg = sx.IntegratorConfig(delta, omega, order, 12)
                 return rk4 + [sx.integrate(Q, P, cfg, m, stride=5).states,

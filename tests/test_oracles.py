@@ -94,7 +94,7 @@ class TestHalfPeriod:
         # Within the first half period the solution is Q0 cn(t sqrt(1 + Q0^2) | m)
         # with m = Q0^2 / (1 + Q0^2) = 0.9 at Q0 = -3.
         t = np.linspace(0.0, 0.99 * sx.half_period(-3.0), 50)
-        Q, _ = sx.exact_solution(-3.0, t)
+        Q, _ = sx.exact_series(-3.0, t)
         np.testing.assert_array_equal(Q, -3.0 * sx.jacobi_elliptic(t * math.sqrt(10.0), 0.9)[1])
 
 
@@ -112,18 +112,18 @@ class TestFirstReturnTime:
 
 class TestExactSolution:
     def test_initial_point(self):
-        Q, P = sx.exact_solution(-3.0, 0.0)
+        Q, P = sx.exact_series(-3.0, 0.0)
         assert (Q, P) == (-3.0, 0.0)
 
     def test_half_period_reaches_mirror_point(self):
         T = sx.half_period(-3.0)
-        Q, P = sx.exact_solution(-3.0, T)
+        Q, P = sx.exact_series(-3.0, T)
         assert Q == pytest.approx(3.0, abs=1e-10)
         assert P == pytest.approx(0.0, abs=1e-10)
 
     def test_full_period_returns(self):
         T = sx.half_period(-3.0)
-        Q, P = sx.exact_solution(-3.0, 2.0 * T)
+        Q, P = sx.exact_series(-3.0, 2.0 * T)
         assert Q == pytest.approx(-3.0, abs=1e-10)
         assert P == pytest.approx(0.0, abs=1e-10)
 
@@ -132,12 +132,13 @@ class TestExactSolution:
             sx.product_hamiltonian(), np.array([-3.0]), np.array([0.0]), 0.7, n_samples=7
         )
         Qe, Pe = sx.exact_series(-3.0, ref.times)
-        np.testing.assert_allclose(ref.Q[:, 0], Qe, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(ref.P[:, 0], Pe, rtol=0, atol=1e-9)
+        Q, P = ref.projected()
+        np.testing.assert_allclose(Q[:, 0], Qe, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(P[:, 0], Pe, rtol=0, atol=1e-9)
 
     def test_energy_preserved_along_solution(self):
         t = np.linspace(0.0, 30.0, 4000)
-        Q, P = sx.exact_solution(-3.0, t)
+        Q, P = sx.exact_series(-3.0, t)
         H = 0.5 * (Q**2 + 1.0) * (P**2 + 1.0)
         assert np.max(np.abs(H - 5.0)) <= 1e-11
 
@@ -145,14 +146,14 @@ class TestExactSolution:
     @given(t=st.floats(0.0, 50.0), q0=st.floats(-5.0, -0.2))
     def test_periodicity(self, t, q0):
         T2 = 2.0 * sx.half_period(q0)
-        Q1, P1 = sx.exact_solution(q0, t)
-        Q2, P2 = sx.exact_solution(q0, t + T2)
+        Q1, P1 = sx.exact_series(q0, t)
+        Q2, P2 = sx.exact_series(q0, t + T2)
         assert Q1 == pytest.approx(Q2, abs=1e-10)
         assert P1 == pytest.approx(P2, abs=1e-10)
 
     def test_rejects_nonnegative_start(self):
         with pytest.raises(ValueError):
-            sx.exact_solution(3.0, 1.0)
+            sx.exact_series(3.0, 1.0)
 
 
 def blowup_model():
@@ -167,8 +168,8 @@ def blowup_model():
 
 def assert_finite_partial(err, times):
     partial = err.value.partial
-    assert isinstance(partial, sx.PhaseSeries) and len(partial) >= 1
-    assert np.all(np.isfinite(partial.Q)) and np.all(np.isfinite(partial.P))
+    assert isinstance(partial, sx.Trajectory) and len(partial) >= 1
+    assert np.all(np.isfinite(partial.states))
     np.testing.assert_allclose(partial.times, times[: len(partial)], rtol=1e-15, atol=0)
 
 
@@ -176,8 +177,9 @@ class TestRk4:
     def test_zero_step_identity(self):
         m = sx.product_hamiltonian()
         series = sx.rk4_trajectory(m, np.array([-3.0]), np.array([0.5]), 0.0, 1)
-        np.testing.assert_array_equal(series.Q[-1], [-3.0])
-        np.testing.assert_array_equal(series.P[-1], [0.5])
+        Q, P = series.projected()
+        np.testing.assert_array_equal(Q[-1], [-3.0])
+        np.testing.assert_array_equal(P[-1], [0.5])
 
     def test_linear_system_reproduces_taylor_polynomial(self):
         # Harmonic oscillator: one step equals the degree-4 Taylor rotation.
@@ -189,7 +191,7 @@ class TestRk4:
         )
         delta = 0.3
         series = sx.rk4_trajectory(m, np.array([0.7]), np.array([-0.2]), delta, 1)
-        Q, P = series.Q[-1], series.P[-1]
+        Q, P = (c[-1] for c in series.projected())
         c = 1.0 - delta**2 / 2.0 + delta**4 / 24.0
         s = delta - delta**3 / 6.0
         assert Q[0] == pytest.approx(0.7 * c - 0.2 * s, rel=1e-15)
@@ -227,7 +229,7 @@ class TestReferenceFlow:
         m = sx.product_hamiltonian()
         ref = sx.reference_flow(m, np.array([-3.0]), np.array([0.0]), 0.0)
         assert len(ref) == 1
-        np.testing.assert_array_equal(ref.Q[0], [-3.0])
+        np.testing.assert_array_equal(ref.projected()[0][0], [-3.0])
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="n_samples must be >= 1"):
@@ -243,14 +245,15 @@ class TestReferenceFlow:
         m = sx.product_hamiltonian()
         ref = sx.reference_flow(m, np.array([-3.0]), np.array([0.0]), 10.0, n_samples=50)
         Qe, Pe = sx.exact_series(-3.0, ref.times)
-        assert np.max(np.abs(ref.Q[:, 0] - Qe)) <= 1e-9
-        assert np.max(np.abs(ref.P[:, 0] - Pe)) <= 1e-9
+        Q, P = ref.projected()
+        assert np.max(np.abs(Q[:, 0] - Qe)) <= 1e-9
+        assert np.max(np.abs(P[:, 0] - Pe)) <= 1e-9
 
     def test_schwarzschild_benchmark_energy(self):
         m = sx.schwarzschild_hamiltonian()
         Q0, P0 = sx.schwarzschild_initial("constraint")
         ref = sx.reference_flow(m, Q0, P0, 10.0, n_samples=50)
-        H = m.value(ref.Q, ref.P)
+        H = m.value(*ref.projected())
         assert np.max(np.abs(H - H[0])) < 1e-10
 
     def test_non_convergence_reported(self):
@@ -279,13 +282,15 @@ class TestCopySymmetry:
     def test_reference_keeps_copies_equal(self, omega):
         ext = sx.extended_model(sx.product_hamiltonian(), omega)
         ref = sx.reference_flow(ext, np.array([-3.0, -3.0]), np.array([0.0, 0.0]), 1.0, n_samples=10)
-        assert np.max(np.abs(ref.Q[:, 0] - ref.Q[:, 1])) == 0.0
-        assert np.max(np.abs(ref.P[:, 0] - ref.P[:, 1])) == 0.0
+        Q, P = ref.projected()
+        assert np.max(np.abs(Q[:, 0] - Q[:, 1])) == 0.0
+        assert np.max(np.abs(P[:, 0] - P[:, 1])) == 0.0
 
     @pytest.mark.parametrize("omega", [20.0, 160.0])
     def test_split_step_separates_copies(self, omega):
         cfg = sx.IntegratorConfig(delta=0.01, omega=omega, order=4, n_steps=100)
-        q, p, x, y = sx.integrate(np.array([-3.0]), np.array([0.0]), cfg, sx.product_hamiltonian()).parts()
+        traj = sx.integrate(np.array([-3.0]), np.array([0.0]), cfg, sx.product_hamiltonian())
+        q, p, x, y = sx.state_from_array(traj.states)
         assert np.max(np.abs(q - x)) > 0.0
 
 
@@ -296,8 +301,8 @@ class TestReferenceDissipative:
         b = sx.reference_flow(
             m, np.array([-2.0]), np.array([0.0]), 3.0, n_samples=12, force=sx.linear_drag(0.0)
         )
-        np.testing.assert_array_equal(a.Q, b.Q)
-        np.testing.assert_array_equal(a.P, b.P)
+        np.testing.assert_array_equal(a.projected()[0], b.projected()[0])
+        np.testing.assert_array_equal(a.projected()[1], b.projected()[1])
 
     def test_damped_oscillator_closed_form(self):
         m = sx.HamiltonianModel(
@@ -321,8 +326,9 @@ class TestReferenceDissipative:
             (-0.5 * gamma * A + wd * B) * np.cos(wd * t)
             + (-0.5 * gamma * B - wd * A) * np.sin(wd * t)
         )
-        np.testing.assert_allclose(ref.Q[:, 0], q, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(ref.P[:, 0], qdot, rtol=0, atol=1e-9)
+        Q, P = ref.projected()
+        np.testing.assert_allclose(Q[:, 0], q, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(P[:, 0], qdot, rtol=0, atol=1e-9)
 
     def test_energy_decays(self):
         m = sx.HamiltonianModel(
@@ -334,5 +340,5 @@ class TestReferenceDissipative:
         ref = sx.reference_flow(
             m, np.array([1.0]), np.array([0.0]), 20.0, n_samples=30, force=sx.linear_drag(0.2)
         )
-        H = m.value(ref.Q, ref.P)
+        H = m.value(*ref.projected())
         assert H[-1] < 0.05 * H[0]
